@@ -214,7 +214,10 @@ class BasicAtomicBroadcast(NodeComponent):
 
     def _admit_locally(self, message: AppMessage) -> None:
         """``Unordered ← (Unordered ∪ {m}) − Agreed``."""
-        if message not in self.agreed and message.id not in self.unordered:
+        # Cheapest test first: a gossip mostly repeats what is already
+        # Unordered, and the plain dict lookup settles those.
+        if (message.id not in self.unordered
+                and message.id not in self.agreed.tracker):
             self.unordered[message.id] = message
             if len(self.unordered) > self.unordered_high_water:
                 self.unordered_high_water = len(self.unordered)

@@ -114,8 +114,8 @@ class LiveRuntime(Runtime):
     def schedule(self, delay: float, callback: Callable,
                  *args: Any) -> asyncio.TimerHandle:
         """Run ``callback(*args)`` after ``delay`` wall-clock seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"invalid delay {delay}")
         return self.loop.call_later(delay, self._step, callback, args)
 
     def call_soon(self, callback: Callable, *args: Any) -> asyncio.Handle:

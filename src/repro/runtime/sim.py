@@ -19,7 +19,7 @@ the test suite, benchmarks and docs refer to it extensively.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime.api import Runtime
@@ -29,14 +29,16 @@ __all__ = ["SimRuntime", "Simulator", "Timer"]
 
 
 class Timer:
-    """A cancellable handle for a scheduled callback (the heap entry)."""
+    """A cancellable handle for a scheduled callback.
 
-    __slots__ = ("when", "seq", "_callback", "_args", "cancelled", "_owner")
+    The heap holds ``(when, seq, timer)`` entries, so ordering compares
+    a float and an int in C and never reaches the timer itself.
+    """
 
-    def __init__(self, when: float, seq: int, callback: Callable, args: tuple,
+    __slots__ = ("_callback", "_args", "cancelled", "_owner")
+
+    def __init__(self, callback: Callable, args: tuple,
                  owner: Optional["SimRuntime"] = None):
-        self.when = when
-        self.seq = seq
         self._callback = callback
         self._args = args
         self.cancelled = False
@@ -60,9 +62,6 @@ class Timer:
             self._args = ()
             callback(*args)
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
 
 class SimRuntime(Runtime):
     """The virtual-time event loop.
@@ -81,7 +80,7 @@ class SimRuntime(Runtime):
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed=seed)
         self._now = 0.0
-        self._heap: List[Timer] = []
+        self._heap: List[Tuple[float, int, Timer]] = []
         self._seq = 0
         self._event_count = 0
         # Cancelled timers still sitting in the heap.  Long runs of
@@ -107,12 +106,11 @@ class SimRuntime(Runtime):
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> Timer:
         """Run ``callback(*args)`` after ``delay`` units of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        timer = Timer(self._now + delay, self._seq, callback, args,
-                      owner=self)
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"invalid delay {delay}")
+        timer = Timer(callback, args, owner=self)
+        heapq.heappush(self._heap, (self._now + delay, self._seq, timer))
         self._seq += 1
-        heapq.heappush(self._heap, timer)
         return timer
 
     def _note_cancelled(self) -> None:
@@ -125,7 +123,8 @@ class SimRuntime(Runtime):
         self._cancelled_in_heap += 1
         if (self._cancelled_in_heap > self._COMPACT_FLOOR
                 and self._cancelled_in_heap * 2 > len(self._heap)):
-            self._heap = [t for t in self._heap if not t.cancelled]
+            self._heap = [entry for entry in self._heap
+                          if not entry[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled_in_heap = 0
             self.compactions += 1
@@ -148,17 +147,17 @@ class SimRuntime(Runtime):
         """
         processed = 0
         while self._heap:
-            timer = self._heap[0]
+            when, _, timer = self._heap[0]
             if timer.cancelled:
                 heapq.heappop(self._heap)
                 self._cancelled_in_heap -= 1
                 continue
-            if until is not None and timer.when > until:
+            if until is not None and when > until:
                 break
             if max_events is not None and processed >= max_events:
                 break
             heapq.heappop(self._heap)
-            self._now = timer.when
+            self._now = when
             self._event_count += 1
             processed += 1
             timer._fire()
@@ -178,7 +177,7 @@ class SimRuntime(Runtime):
                 raise SimulationError(
                     f"deadlock: event {event.name!r} never fired "
                     f"(queue drained at t={self._now})")
-            if limit is not None and self._heap[0].when > limit:
+            if limit is not None and self._heap[0][0] > limit:
                 raise SimulationError(
                     f"timeout: event {event.name!r} not fired by t={limit}")
             self.run(max_events=1)

@@ -60,10 +60,11 @@ class RealTimeRunner:
         anchor_wall = self._clock()
         anchor_virtual = self.sim.now
         while True:
-            pending = [t for t in self.sim._heap if not t.cancelled]
+            pending = [entry[0] for entry in self.sim._heap
+                       if not entry[2].cancelled]
             if not pending:
                 break
-            next_when = min(t.when for t in pending)
+            next_when = min(pending)
             if until is not None and next_when > until:
                 break
             due_wall = anchor_wall + \

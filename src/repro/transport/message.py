@@ -9,7 +9,7 @@ and declare their payload fields.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.sizing import estimate_size
 
@@ -17,15 +17,21 @@ __all__ = ["WireMessage"]
 
 
 class WireMessage:
-    """Immutable-by-convention wire message with a dispatch tag.
+    """Immutable wire message with a dispatch tag.
 
     Subclasses set the class attribute ``type`` and store payload fields
     as instance attributes listed in ``fields`` (used for size accounting
     and ``repr``).
+
+    Immutability is load-bearing: :meth:`estimated_size` walks the fields
+    once and caches the result on the instance, so a field must be
+    neither rebound nor mutated after the first call.  Build a new
+    message instead.
     """
 
     type = "message"
     fields: Tuple[str, ...] = ()
+    _size: Optional[int] = None
 
     # Bumped on every subclass definition; the wire codec's type-tag
     # registry is valid exactly while this stands still, so unknown-tag
@@ -37,11 +43,18 @@ class WireMessage:
         WireMessage._registry_generation += 1
 
     def estimated_size(self) -> int:
-        """Estimated serialised size: tag plus payload fields."""
-        total = 2 + len(self.type)
-        for name in self.fields:
-            total += estimate_size(getattr(self, name))
-        return total
+        """Estimated serialised size: tag plus payload fields.
+
+        Computed on the first call and cached: a ``multisend`` to n
+        nodes walks the payload once, not n times.
+        """
+        size = self._size
+        if size is None:
+            size = 2 + len(self.type)
+            for name in self.fields:
+                size += estimate_size(getattr(self, name))
+            self._size = size
+        return size
 
     def payload(self) -> Tuple[Any, ...]:
         """The payload fields as a tuple (handy for tests)."""

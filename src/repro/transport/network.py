@@ -216,8 +216,9 @@ class Network:
     def _draw_delay(self) -> float:
         if self.config.delay_fn is not None:
             delay = self.config.delay_fn(self.rng)
-            if delay < 0:
-                raise SimulationError("delay_fn returned a negative delay")
+            if not delay >= 0:  # also rejects NaN
+                raise SimulationError(
+                    f"delay_fn returned an invalid delay {delay}")
             return delay
         return self.rng.uniform(self.config.min_delay, self.config.max_delay)
 

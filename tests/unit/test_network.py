@@ -126,6 +126,14 @@ class TestLossDuplication:
         sim.run()
         assert sim.now == 7.0
 
+    def test_nan_delay_fn_rejected(self, sim):
+        config = NetworkConfig(delay_fn=lambda rng: float("nan"))
+        net, nodes, received = build(sim, config=config)
+        with pytest.raises(SimulationError):
+            net.send(0, 1, Ping(1))
+        sim.run(until=10.0)
+        assert sim.now == 10.0 and received[1] == []
+
 
 class TestPartitions:
     def test_partition_blocks_both_directions(self, sim):

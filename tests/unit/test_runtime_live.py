@@ -91,8 +91,9 @@ def test_timers_fire_in_delay_order(runtime):
 
 
 def test_negative_delay_rejected(runtime):
-    with pytest.raises(SimulationError):
-        runtime.schedule(-0.5, lambda: None)
+    for delay in (-0.5, float("nan")):
+        with pytest.raises(SimulationError):
+            runtime.schedule(delay, lambda: None)
 
 
 def test_cancelled_timer_does_not_fire(runtime):
