@@ -24,17 +24,13 @@ import argparse
 import sys
 
 from repro.perf.harness import (compare_determinism,
-                                measure_codec_comparison,
-                                measure_group_commit_comparison,
-                                measure_storage_comparison,
-                                measure_wire_comparison, run_matrix)
+                                measure_storage_comparison, run_matrix)
 from repro.perf.matrix import (default_matrix, overload_cell, scaled_cells,
                                smallest_cell)
 from repro.perf.trajectory import (baseline_determinism, build_document,
                                    format_comparison_table,
                                    format_matrix_table,
                                    format_trajectory_table,
-                                   format_wire_comparison_table,
                                    load_documents, summarize_drift,
                                    write_document)
 
@@ -66,11 +62,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scaled", action="store_true",
                         help="append the scale-stress cells (25 nodes, "
                              "10x rate) to the run")
-    parser.add_argument("--wire-compare", action="store_true",
-                        help="run and record the binary-wire-path "
-                             "before/after comparisons (live burst over "
-                             "localhost UDP, codec pipeline, storage "
-                             "group commit)")
     parser.add_argument("--trajectory", default=None, metavar="CELL",
                         help="print CELL's metrics across all committed "
                              "BENCH_*.json files and exit")
@@ -123,17 +114,6 @@ def main(argv=None) -> int:
         comparison = measure_storage_comparison()
         print(format_comparison_table(comparison))
 
-    wire_comparisons = None
-    if args.wire_compare:
-        print("measuring binary wire path (live burst, codec, "
-              "group commit)...")
-        wire_comparisons = {
-            "live": measure_wire_comparison(count=1500),
-            "codec": measure_codec_comparison(),
-            "group_commit": measure_group_commit_comparison(),
-        }
-        print(format_wire_comparison_table(wire_comparisons))
-
     exit_code = 0
     if args.check is not None:
         import json
@@ -150,8 +130,7 @@ def main(argv=None) -> int:
         output = f"BENCH_{args.label}.json"
     if output is not None:
         label = args.label or "unlabelled"
-        write_document(build_document(label, results, comparison,
-                                      wire_comparisons), output)
+        write_document(build_document(label, results, comparison), output)
         print(f"wrote {output}")
     return exit_code
 

@@ -145,13 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(lint)
 
     wirefuzz = commands.add_parser(
-        "wirefuzz", help="seeded fuzz of the wire codec: cross-version "
-                         "round-trips for every registered message class "
-                         "plus adversarial datagrams that must fail only "
-                         "with WireCodecError")
+        "wirefuzz", help="seeded fuzz of the wire format and value "
+                         "codec: round-trips for every registered message "
+                         "class plus adversarial datagrams and encoded "
+                         "values that must fail only with WireCodecError "
+                         "or CodecError")
     wirefuzz.add_argument("--iterations", type=int, default=500,
-                          help="round-trip iterations (adversarial "
-                               "decodes run 4x this)")
+                          help="round-trip iterations (each adversarial "
+                               "suite runs 4x this)")
     wirefuzz.add_argument("--seed", type=int, default=0)
 
     commands.add_parser("info", help="list protocols and experiments")

@@ -62,6 +62,24 @@ class OverloadError(BroadcastError):
         self.reason = reason
 
 
+class OversizeDatagramError(ReproError):
+    """An encoded message exceeds the transport's datagram limit.
+
+    Raised synchronously out of a live medium's ``send``/``multisend``
+    so the caller fails cleanly (and the drop is counted) instead of
+    ``sendto`` raising ``OSError: Message too long`` from inside the
+    event loop.
+    """
+
+    def __init__(self, message_type: str, size: int, limit: int):
+        super().__init__(
+            f"encoded {message_type!r} is {size} bytes; the datagram "
+            f"limit is {limit}")
+        self.message_type = message_type
+        self.size = size
+        self.limit = limit
+
+
 class VerificationError(ReproError):
     """Raised by the harness when a run violates an Atomic Broadcast property."""
 

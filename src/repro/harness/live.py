@@ -73,16 +73,15 @@ class LiveCluster:
             loss_rate=config.network.loss_rate,
             duplicate_rate=config.network.duplicate_rate,
             max_send_buffer=(config.flow.max_send_buffer
-                             if config.flow is not None else None),
-            wire_config=config.wire)
+                             if config.flow is not None else None))
         # UDP is a real fair-loss channel, so the stubborn retransmission
         # layer is on by default here (config.stubborn=False disables it).
         stubborn_config = config.resolve_stubborn(default_on=True)
         if stubborn_config is not None and \
                 not isinstance(config.stubborn, StubbornConfig):
             # Default live tuning: batch same-turn envelopes and piggyback
-            # acks, pairing with the transport's datagram coalescing.  An
-            # explicit StubbornConfig is honoured verbatim.
+            # acks, so one datagram carries them all.  An explicit
+            # StubbornConfig is honoured verbatim.
             stubborn_config.coalesce = True
         self.stubborn = None
         self.medium: Any = self.network

@@ -21,23 +21,16 @@ from repro.perf.harness import CellResult
 
 __all__ = ["build_document", "write_document", "load_documents",
            "baseline_determinism", "format_matrix_table",
-           "format_comparison_table", "format_wire_comparison_table",
-           "format_trajectory_table", "summarize_drift"]
+           "format_comparison_table", "format_trajectory_table",
+           "summarize_drift"]
 
 SCHEMA = 1
 
 
 def build_document(label: str, results: Iterable[CellResult],
-                   storage_comparison: Optional[Dict[str, Any]] = None,
-                   wire_comparisons: Optional[Dict[str, Any]] = None
+                   storage_comparison: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
-    """Assemble one trajectory point.
-
-    ``wire_comparisons`` maps comparison name (``"live"``, ``"codec"``,
-    ``"group_commit"``) to the dict the matching ``measure_*`` harness
-    returned; recorded under one ``wire_comparisons`` key so BENCH
-    documents from before the binary wire path keep their exact shape.
-    """
+    """Assemble one trajectory point."""
     document: Dict[str, Any] = {
         "schema": SCHEMA,
         "label": label,
@@ -49,8 +42,6 @@ def build_document(label: str, results: Iterable[CellResult],
     }
     if storage_comparison is not None:
         document["storage_comparison"] = storage_comparison
-    if wire_comparisons:
-        document["wire_comparisons"] = wire_comparisons
     return document
 
 
@@ -111,44 +102,6 @@ def format_comparison_table(comparison: Dict[str, Any]) -> str:
         rows,
         note=f"speedup: {speedup}x deliveries/sec (identical determinism "
              f"metrics in both modes)")
-
-
-def format_wire_comparison_table(comparisons: Dict[str, Any]) -> str:
-    """One table over the binary-wire-path comparisons (PR10): the live
-    end-to-end burst, the codec pipeline, and storage group commit."""
-    rows = []
-    live = comparisons.get("live")
-    if live is not None:
-        rows.append([
-            "live burst (v1 -> v2+coalesce)",
-            f"{live['speedup_deliveries_per_sec']}x deliv/s",
-            f"{live['datagram_ratio']}x fewer datagrams",
-            f"{live['bytes_ratio']}x fewer bytes",
-        ])
-    codec = comparisons.get("codec")
-    if codec is not None:
-        rows.append([
-            "codec pipeline (encode+decode)",
-            f"{codec['speedup_messages_per_sec']}x msg/s",
-            f"{codec['before']['bytes_per_message']} -> "
-            f"{codec['after']['bytes_per_message']} B/msg",
-            f"{codec['bytes_ratio']}x fewer bytes",
-        ])
-    commit = comparisons.get("group_commit")
-    if commit is not None:
-        rows.append([
-            "storage group commit",
-            f"{commit['speedup_records_per_sec']}x records/s",
-            f"{commit['before']['records_per_sec']} -> "
-            f"{commit['after']['records_per_sec']} rec/s",
-            f"batch={commit['workload']['batch']}",
-        ])
-    return format_table(
-        "Binary wire path: before/after",
-        ["comparison", "speedup", "detail", "volume"],
-        rows,
-        note="wall-clock speedups are hardware; the datagram/byte ratios "
-             "are workload-deterministic")
 
 
 def format_trajectory_table(documents: List[Dict[str, Any]],

@@ -22,34 +22,26 @@ ephemeral port; the shared port map is updated so peers reach the
 recovered process, emulating a process restart without fixed port
 assignments.
 
-**Datagram coalescing** (wire v2): messages are encoded as
-length-prefixed binary frames (:func:`repro.runtime.wire.encode_frame`)
-and buffered per ``(src, dst)`` pair; the buffer flushes as one datagram
-when it would exceed ``max_frame_bytes`` or on the next event-loop turn
-(``flush_delay=0``), so every message a single callback emits — a
-``multisend``, a protocol round's fan-out, a stubborn batch plus its
-piggybacked acks — shares one ``sendto`` system call and one receive
-wakeup instead of paying per message.  Frames buffered by a node that
-crashes before its flush are dropped with the rest of its volatile
-state.  ``wire_version=1`` keeps the original one-JSON-datagram-per-
-message path for honest A/B comparison; decoding accepts both versions
-either way.
+**One frame per datagram**: every send encodes the message as one
+binary frame (:func:`repro.runtime.wire.encode_frame`) and hands it to
+``sendto`` at once.  Batching many protocol messages into one datagram
+is the stubborn channel's job (``stub.batch``), not this medium's.
 
 **Datagram size guard**: an encoded frame larger than
-``max_datagram_bytes`` (default 65507, the UDP/IPv4 payload limit) is
+:data:`MAX_DATAGRAM_BYTES` (65507, the UDP/IPv4 payload limit) is
 counted (``oversize_drops``) and surfaced to the caller as a typed
-:class:`OversizeDatagramError` *before* the send path touches the
-socket — previously ``transport.sendto`` raised a raw ``OSError`` from
-inside asyncio's datagram plumbing.
+:class:`~repro.errors.OversizeDatagramError` *before* the send path
+touches the socket, instead of ``transport.sendto`` raising a raw
+``OSError`` from inside asyncio's datagram plumbing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import OversizeDatagramError, SimulationError
 from repro.runtime import wire
 from repro.runtime.live import LiveRuntime
 from repro.runtime.node import Node
@@ -57,24 +49,11 @@ from repro.sizing import estimate_size
 from repro.transport.message import WireMessage
 from repro.transport.network import NetworkMetrics
 
-__all__ = ["LiveNetwork", "OversizeDatagramError"]
+__all__ = ["LiveNetwork", "MAX_DATAGRAM_BYTES"]
 
 
-class OversizeDatagramError(ReproError):
-    """An encoded message exceeds the transport's datagram limit.
-
-    Raised synchronously out of ``send``/``multisend`` so the caller
-    fails cleanly (and the drop is counted) instead of ``sendto``
-    raising ``OSError: Message too long`` from inside the event loop.
-    """
-
-    def __init__(self, message_type: str, size: int, limit: int):
-        super().__init__(
-            f"encoded {message_type!r} is {size} bytes; the datagram "
-            f"limit is {limit}")
-        self.message_type = message_type
-        self.size = size
-        self.limit = limit
+# The UDP/IPv4 payload limit: no datagram can carry more.
+MAX_DATAGRAM_BYTES = 65507
 
 
 class _NodeProtocol(asyncio.DatagramProtocol):
@@ -111,18 +90,13 @@ class LiveNetwork:
         (``send_overflows``) instead of queued without limit — the live
         analogue of the simulator's bounded stubborn backlog.  ``None``
         (default) disables the bound.
-    wire:
-        Wire/framing configuration (:class:`~repro.runtime.wire.WireConfig`):
-        codec version, coalescing bounds, datagram size limit.  The
-        default is the v2 binary codec with same-turn coalescing.
     """
 
     def __init__(self, runtime: LiveRuntime,
                  rng: Optional[random.Random] = None,
                  loss_rate: float = 0.0,
                  duplicate_rate: float = 0.0,
-                 max_send_buffer: Optional[int] = None,
-                 wire_config: Optional[wire.WireConfig] = None) -> None:
+                 max_send_buffer: Optional[int] = None) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise SimulationError(
                 f"loss_rate {loss_rate} breaks the fair-loss assumption")
@@ -135,24 +109,16 @@ class LiveNetwork:
         if max_send_buffer is not None and max_send_buffer < 1:
             raise SimulationError(f"bad max_send_buffer {max_send_buffer}")
         self.max_send_buffer = max_send_buffer
-        self.wire_config = wire_config or wire.WireConfig()
         self.send_overflows = 0
         self.send_buffer_high_water = 0
-        # Framing/coalescing counters (wall-clock side, never gated on).
+        # Datagram counters (wall-clock side, never gated on).
         self.oversize_drops = 0
         self.datagrams_sent = 0
-        self.frames_sent = 0
-        self.frames_coalesced = 0  # frames that shared a datagram
         self.wire_bytes_sent = 0   # actual encoded bytes through sendto
         self.nodes: Dict[int, Node] = {}
         self.ports: Dict[int, int] = {}
         self.metrics = NetworkMetrics()
         self._transports: Dict[int, asyncio.DatagramTransport] = {}
-        # Per-(src, dst) coalescing buffers: encoded frames + byte count,
-        # plus the scheduled flush handle (volatile, dies with the src).
-        self._out: Dict[Tuple[int, int], List[bytes]] = {}
-        self._out_bytes: Dict[Tuple[int, int], int] = {}
-        self._flush_handles: Dict[Tuple[int, int], asyncio.Handle] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -187,22 +153,11 @@ class LiveNetwork:
             await self.open(node_id)
 
     def close(self, node_id: int) -> None:
-        """Close the node's socket (datagrams in flight to it are lost).
-
-        Frames the node had buffered for coalescing are volatile sender
-        state and vanish with the process, exactly like the simulated
-        stubborn backlog on a crash.
-        """
+        """Close the node's socket (datagrams in flight to it are lost)."""
         transport = self._transports.pop(node_id, None)
         if transport is not None:
             transport.close()
         self.ports.pop(node_id, None)
-        for key in [k for k in self._out if k[0] == node_id]:
-            self._out.pop(key, None)
-            self._out_bytes.pop(key, None)
-            handle = self._flush_handles.pop(key, None)
-            if handle is not None:
-                handle.cancel()
 
     def close_all(self) -> None:
         """Close every socket (end of run)."""
@@ -236,24 +191,18 @@ class LiveNetwork:
         if self.loss_rate and self.rng.random() < self.loss_rate:
             self.metrics.lost += 1
             return
-        config = self.wire_config
         duplicated = bool(self.duplicate_rate
                           and self.rng.random() < self.duplicate_rate)
         if duplicated:
             self.metrics.duplicated += 1
-        if config.coalesce:
-            frame = wire.encode_frame(src, message)
-            self._check_size(message, len(frame))
-            self._enqueue(src, dst, frame)
-            if duplicated:
-                self._enqueue(src, dst, frame)
-            return
-        data = wire.encode(src, message, version=config.version)
-        self._check_size(message, len(data))
-        self.frames_sent += 1
+        data = wire.encode_frame(src, message)
+        if len(data) > MAX_DATAGRAM_BYTES:
+            self.oversize_drops += 1
+            self.metrics.lost += 1
+            raise OversizeDatagramError(message.type, len(data),
+                                        MAX_DATAGRAM_BYTES)
         self._transmit(src, dst, data)
         if duplicated:
-            self.frames_sent += 1
             self._transmit(src, dst, data)
 
     def multisend(self, src: int, message: WireMessage,
@@ -272,45 +221,6 @@ class LiveNetwork:
                 self.send(src, dst, message)
 
     # -- internals ----------------------------------------------------------
-
-    def _check_size(self, message: WireMessage, size: int) -> None:
-        limit = self.wire_config.max_datagram_bytes
-        if size > limit:
-            self.oversize_drops += 1
-            self.metrics.lost += 1
-            raise OversizeDatagramError(message.type, size, limit)
-
-    def _enqueue(self, src: int, dst: int, frame: bytes) -> None:
-        """Buffer one v2 frame; flush by size now or by delay later."""
-        key = (src, dst)
-        buffered = self._out_bytes.get(key, 0)
-        if buffered and buffered + len(frame) > \
-                self.wire_config.max_frame_bytes:
-            self._flush(key)
-        buf = self._out.setdefault(key, [])
-        buf.append(frame)
-        self._out_bytes[key] = self._out_bytes.get(key, 0) + len(frame)
-        self.frames_sent += 1
-        if key not in self._flush_handles:
-            delay = self.wire_config.flush_delay
-            if delay > 0:
-                handle = self.runtime.schedule(delay, self._flush, key)
-            else:
-                handle = self.runtime.call_soon(self._flush, key)
-            self._flush_handles[key] = handle
-
-    def _flush(self, key: Tuple[int, int]) -> None:
-        """Transmit one (src, dst) buffer as a single datagram."""
-        handle = self._flush_handles.pop(key, None)
-        if handle is not None:
-            handle.cancel()
-        frames = self._out.pop(key, None)
-        self._out_bytes.pop(key, None)
-        if not frames:
-            return
-        if len(frames) > 1:
-            self.frames_coalesced += len(frames) - 1
-        self._transmit(key[0], key[1], b"".join(frames))
 
     def _transmit(self, src: int, dst: int, data: bytes) -> None:
         transport = self._transports.get(src)

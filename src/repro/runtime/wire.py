@@ -1,40 +1,23 @@
 """UDP wire format for :class:`~repro.transport.message.WireMessage`.
 
-Two wire versions coexist, negotiated per datagram by its first byte:
-
-**v1 (tagged JSON, the original format)** — one UTF-8 JSON object::
-
-    {"s": <sender id>, "t": <message type tag>, "f": {<field>: <value>}}
-
-Field values go through :mod:`repro.storage.codec` — the same tagged-JSON
-codec the stable-storage layer uses — so tuples, sets, frozensets and
-registered classes (notably :class:`~repro.core.messages.AppMessage`)
-round-trip exactly.
-
-**v2 (length-prefixed binary)** — one or more *frames* concatenated into
-a single datagram.  Each frame is a ``struct``-packed header followed by
-a compact binary payload::
+A datagram is one *frame*: a ``struct``-packed header followed by a
+binary payload::
 
     !HBIHI  =  magic 0xAB0B | version 2 | sender | type-id | payload-len
 
 The type-id is a small integer from a registered table
-(:data:`TYPE_ID_TABLE`, extensible via :func:`register_type_id`)
-replacing the string-tag dispatch of v1; the payload is the message's
-declared fields, in declaration order, each encoded by a compact binary
-value codec (ints as zigzag varints, floats as IEEE doubles — so
-``nan``/``inf``/``-0.0`` round-trip exactly, strings/containers with
-varint lengths).  Field values of classes registered with the storage
-codec reuse that same registration (tag + ``to_plain``/``from_plain``)
-under a binary envelope, so no JSON text appears on the v2 hot path; a
-message class *without* a type-id falls back to a v1 JSON frame tunnelled
-inside a v2 frame (type-id 0), so coalesced datagrams can always carry it.
+(:data:`TYPE_ID_TABLE`, extensible via :func:`register_type_id`); every
+message type sent over the live transport has one, and encoding a
+message whose type has none raises :class:`WireCodecError`.  The payload
+is the message's declared fields, in declaration order, each encoded by
+the value codec :mod:`repro.storage.codec` (the same bytes the file
+storage writes), so classes registered with that codec travel as field
+values too.  Version 2 is the only version; the header keeps the byte
+so a frame from any other version is rejected rather than misread.
 
-Because v2 frames are length-prefixed they concatenate: the transport
-packs many protocol messages into one datagram (see
-:class:`~repro.runtime.live_net.LiveNetwork`) and :func:`decode_datagram`
-walks the frames back out.  A datagram starting with ``{`` is decoded as
-v1; decoders accept both versions regardless of what the local encoder
-emits, so mixed-version clusters interoperate.
+Frames are length-prefixed, so several concatenate into one datagram
+and :func:`decode_datagram` walks them all back out; the live transport
+itself sends one frame per datagram.
 
 Decoding dispatches on the ``type`` tag through a registry built by
 walking ``WireMessage.__subclasses__()``: every message class that has
@@ -53,17 +36,15 @@ transport.
 
 from __future__ import annotations
 
-import json
-import math
 import struct
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import ReproError
 from repro.storage import codec
 from repro.transport.message import WireMessage
 
 __all__ = ["encode", "encode_frame", "decode", "decode_datagram", "rebuild",
-           "register_type_id", "type_id_for", "WireCodecError", "WireConfig",
+           "register_type_id", "type_id_for", "WireCodecError",
            "TYPE_ID_TABLE", "MAGIC", "HEADER"]
 
 
@@ -71,63 +52,11 @@ class WireCodecError(ReproError):
     """A datagram could not be encoded or decoded."""
 
 
-class WireConfig:
-    """Transport-facing wire/framing knobs (consumed by the live medium).
-
-    Parameters
-    ----------
-    version:
-        Wire version the local encoder emits (1 = tagged JSON, one
-        datagram per message; 2 = binary frames, coalescible).  Decoders
-        always accept both.
-    max_frame_bytes:
-        Coalescing target: buffered frames flush once a datagram would
-        exceed this size.  Must not exceed ``max_datagram_bytes``.
-    flush_delay:
-        Seconds buffered frames may wait for companions before flushing.
-        ``0`` flushes on the next event-loop turn, which still coalesces
-        every message sent from a single callback (a ``multisend``) at
-        zero added latency.
-    max_datagram_bytes:
-        Hard bound on one encoded datagram; 65507 is the UDP/IPv4
-        payload limit.  A single message whose frame exceeds it raises
-        :class:`~repro.runtime.live_net.OversizeDatagramError` instead
-        of letting ``sendto`` fail with a raw ``OSError``.
-    coalesce:
-        Explicitly enable/disable datagram packing; default (``None``)
-        coalesces exactly when ``version >= 2`` (v1 JSON datagrams carry
-        one message by construction).
-    """
-
-    def __init__(self, version: int = 2,
-                 max_frame_bytes: int = 8192,
-                 flush_delay: float = 0.0,
-                 max_datagram_bytes: int = 65507,
-                 coalesce: Optional[bool] = None):
-        if version not in (1, 2):
-            raise WireCodecError(f"unsupported wire version {version}")
-        if max_datagram_bytes < 1:
-            raise WireCodecError(
-                f"bad max_datagram_bytes {max_datagram_bytes}")
-        if not 0 < max_frame_bytes <= max_datagram_bytes:
-            raise WireCodecError(
-                f"max_frame_bytes {max_frame_bytes} must be in "
-                f"(0, max_datagram_bytes={max_datagram_bytes}]")
-        if flush_delay < 0:
-            raise WireCodecError(f"negative flush_delay {flush_delay}")
-        self.version = version
-        self.max_frame_bytes = max_frame_bytes
-        self.flush_delay = flush_delay
-        self.max_datagram_bytes = max_datagram_bytes
-        self.coalesce = (version >= 2) if coalesce is None else coalesce
-
-
-# -- v2 framing ---------------------------------------------------------------
+# -- framing ------------------------------------------------------------------
 
 MAGIC = 0xAB0B
 HEADER = struct.Struct("!HBIHI")  # magic, version, sender, type-id, len
-_V2 = 2
-_JSON_TUNNEL_ID = 0  # payload is a complete v1 JSON datagram
+_VERSION = 2
 
 # The registered type-id table.  Ids are frozen: changing an assignment
 # invalidates every recorded byte stream, so new message types get new
@@ -165,11 +94,11 @@ _TAG_FOR_ID: Dict[int, str] = {v: k for k, v in TYPE_ID_TABLE.items()}
 
 
 def register_type_id(tag: str, type_id: int) -> None:
-    """Assign a stable v2 type-id to a message type tag.
+    """Assign a stable type-id to a message type tag.
 
-    Ids must be unique, positive and fit the header's 16-bit field; id 0
-    is reserved for the JSON tunnel.  Re-registering the same pair is a
-    no-op so modules may register at import time.
+    Ids must be unique, positive and fit the header's 16-bit field.
+    Re-registering the same pair is a no-op so modules may register at
+    import time.
     """
     if not 0 < type_id < 0x10000:
         raise WireCodecError(f"type id {type_id} out of range [1, 65535]")
@@ -187,218 +116,34 @@ def register_type_id(tag: str, type_id: int) -> None:
 
 
 def type_id_for(tag: str) -> Optional[int]:
-    """The registered v2 type-id for a tag, or None (JSON tunnel)."""
+    """The registered type-id for a tag, or None."""
     return TYPE_ID_TABLE.get(tag)
-
-
-# -- binary value codec -------------------------------------------------------
-
-_DOUBLE = struct.Struct("!d")
-_MAX_DEPTH = 64
-
-
-def _pack_varint(value: int) -> bytes:
-    """Unsigned LEB128."""
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _pack_value(value: Any, out: bytearray, depth: int = 0) -> None:
-    if depth > _MAX_DEPTH:
-        raise WireCodecError("value nesting too deep to encode")
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        out += b"i"
-        out += _pack_varint(value * 2 if value >= 0 else -value * 2 - 1)
-    elif isinstance(value, float):
-        out += b"f"
-        out += _DOUBLE.pack(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s"
-        out += _pack_varint(len(raw))
-        out += raw
-    elif isinstance(value, bytes):
-        out += b"y"
-        out += _pack_varint(len(value))
-        out += value
-    elif isinstance(value, tuple):
-        out += b"t"
-        out += _pack_varint(len(value))
-        for item in value:
-            _pack_value(item, out, depth + 1)
-    elif isinstance(value, list):
-        out += b"l"
-        out += _pack_varint(len(value))
-        for item in value:
-            _pack_value(item, out, depth + 1)
-    elif isinstance(value, (set, frozenset)):
-        out += b"S" if isinstance(value, set) else b"Z"
-        # Deterministic wire bytes: members sorted by their encoding.
-        encoded = []
-        for item in value:
-            buf = bytearray()
-            _pack_value(item, buf, depth + 1)
-            encoded.append(bytes(buf))
-        encoded.sort()
-        out += _pack_varint(len(encoded))
-        for raw in encoded:
-            out += raw
-    elif isinstance(value, dict):
-        out += b"d"
-        out += _pack_varint(len(value))
-        for key, item in value.items():
-            _pack_value(key, out, depth + 1)
-            _pack_value(item, out, depth + 1)
-    else:
-        registered = codec.registration_for(type(value))
-        if registered is None:
-            raise WireCodecError(
-                f"cannot encode {type(value).__name__}; register() it "
-                f"with repro.storage.codec")
-        tag, to_plain = registered
-        raw = tag.encode("utf-8")
-        out += b"R"
-        out += _pack_varint(len(raw))
-        out += raw
-        _pack_value(to_plain(value), out, depth + 1)
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame payload."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, pos: int, end: int):
-        self.data = data
-        self.pos = pos
-        self.end = end
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > self.end:
-            raise WireCodecError("truncated value")
-        raw = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return raw
-
-    def varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            if self.pos >= self.end:
-                raise WireCodecError("truncated varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 640:  # ints beyond ~2^640 are nonsense, not data
-                raise WireCodecError("varint too long")
-
-
-def _unpack_value(reader: _Reader, depth: int = 0) -> Any:
-    if depth > _MAX_DEPTH:
-        raise WireCodecError("value nesting too deep to decode")
-    tag = reader.take(1)
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        zig = reader.varint()
-        return zig // 2 if zig % 2 == 0 else -(zig // 2) - 1
-    if tag == b"f":
-        return _DOUBLE.unpack(reader.take(8))[0]
-    if tag == b"s":
-        return reader.take(reader.varint()).decode("utf-8")
-    if tag == b"y":
-        return reader.take(reader.varint())
-    if tag in (b"t", b"l"):
-        count = reader.varint()
-        items = [_unpack_value(reader, depth + 1) for _ in range(count)]
-        return tuple(items) if tag == b"t" else items
-    if tag in (b"S", b"Z"):
-        count = reader.varint()
-        items = [_unpack_value(reader, depth + 1) for _ in range(count)]
-        return set(items) if tag == b"S" else frozenset(items)
-    if tag == b"d":
-        count = reader.varint()
-        result: Dict[Any, Any] = {}
-        for _ in range(count):
-            key = _unpack_value(reader, depth + 1)
-            result[key] = _unpack_value(reader, depth + 1)
-        return result
-    if tag == b"R":
-        class_tag = reader.take(reader.varint()).decode("utf-8")
-        loader = codec.loader_for(class_tag)
-        if loader is None:
-            raise WireCodecError(f"unknown codec tag {class_tag!r}")
-        return loader(_unpack_value(reader, depth + 1))
-    raise WireCodecError(f"unknown value tag {tag!r}")
 
 
 # -- encoding -----------------------------------------------------------------
 
-def _encode_v1(sender: int, message: WireMessage) -> bytes:
-    frame = {
-        "s": sender,
-        "t": message.type,
-        "f": {name: codec.encode(getattr(message, name))
-              for name in message.fields},
-    }
-    try:
-        return json.dumps(frame, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise WireCodecError(
-            f"cannot encode {message.type!r}: {exc}") from exc
-
-
 def encode_frame(sender: int, message: WireMessage) -> bytes:
-    """Serialise one message as a v2 frame (concatenable into datagrams).
-
-    Messages whose type has no registered type-id — and senders outside
-    the header's unsigned 32-bit range — are tunnelled as a v1 JSON
-    payload under type-id 0, so every encodable message coalesces.
-    """
+    """Serialise one message, with its sender id, as one frame."""
     type_id = TYPE_ID_TABLE.get(message.type)
-    if type_id is None or not 0 <= sender < 0x100000000:
-        payload = _encode_v1(sender, message)
-        return HEADER.pack(MAGIC, _V2, 0, _JSON_TUNNEL_ID,
-                           len(payload)) + payload
+    if type_id is None:
+        raise WireCodecError(
+            f"message type {message.type!r} has no wire type id; "
+            f"register_type_id() it")
+    if not 0 <= sender < 0x100000000:
+        raise WireCodecError(f"sender {sender} does not fit the header")
     out = bytearray()
     try:
         for name in message.fields:
-            _pack_value(getattr(message, name), out)
-    except WireCodecError:
-        raise
+            codec.pack(getattr(message, name), out)
     except Exception as exc:
         raise WireCodecError(
             f"cannot encode {message.type!r}: {exc}") from exc
-    return HEADER.pack(MAGIC, _V2, sender, type_id, len(out)) + bytes(out)
+    return HEADER.pack(MAGIC, _VERSION, sender, type_id, len(out)) + \
+        bytes(out)
 
 
-def encode(sender: int, message: WireMessage, version: int = _V2) -> bytes:
-    """Serialise one message (with its sender id) to a whole datagram."""
-    if version == 1:
-        return _encode_v1(sender, message)
-    if version == _V2:
-        return encode_frame(sender, message)
-    raise WireCodecError(f"unsupported wire version {version}")
+#: A whole single-message datagram is one frame.
+encode = encode_frame
 
 
 # -- type-tag registry --------------------------------------------------------
@@ -449,9 +194,9 @@ def _lookup(tag: str) -> Type[WireMessage]:
 def rebuild(tag: str, field_values: Dict[str, object]) -> WireMessage:
     """Reconstruct a message structurally from its tag and field values.
 
-    ``field_values`` holds already-decoded Python objects (not codec
-    strings); the instance is rebuilt the same way :func:`decode` builds
-    one, so no constructor discipline is imposed on message classes.
+    ``field_values`` holds already-decoded Python objects; the instance
+    is rebuilt the same way :func:`decode` builds one, so no constructor
+    discipline is imposed on message classes.
     Layers that tunnel one message inside another (the stubborn channel's
     data envelope) use this to unwrap the inner message on arrival.
     """
@@ -468,23 +213,7 @@ def rebuild(tag: str, field_values: Dict[str, object]) -> WireMessage:
 
 # -- decoding -----------------------------------------------------------------
 
-def _decode_v1(data: bytes) -> Tuple[int, WireMessage]:
-    try:
-        frame = json.loads(data.decode("utf-8"))
-        sender = frame["s"]
-        fields = frame["f"]
-        message = rebuild(frame["t"],
-                          {name: codec.decode(value)
-                           for name, value in fields.items()})
-        return sender, message
-    except WireCodecError:
-        raise
-    except Exception as exc:
-        raise WireCodecError(f"malformed datagram: {exc}") from exc
-
-
-def _decode_v2_frame(data: bytes, offset: int
-                     ) -> Tuple[int, int, WireMessage]:
+def _decode_frame(data: bytes, offset: int) -> Tuple[int, int, WireMessage]:
     """Decode one frame at ``offset``; returns (next offset, sender, msg)."""
     end = offset + HEADER.size
     if end > len(data):
@@ -492,26 +221,21 @@ def _decode_v2_frame(data: bytes, offset: int
     magic, version, sender, type_id, length = HEADER.unpack_from(data, offset)
     if magic != MAGIC:
         raise WireCodecError(f"bad frame magic {magic:#06x}")
-    if version != _V2:
+    if version != _VERSION:
         raise WireCodecError(f"unsupported wire version {version}")
     if end + length > len(data):
         raise WireCodecError(
             f"torn frame: {len(data) - end} payload bytes, "
             f"header promises {length}")
-    if type_id == _JSON_TUNNEL_ID:
-        sender, message = _decode_v1(data[end:end + length])
-        return end + length, sender, message
     tag = _TAG_FOR_ID.get(type_id)
     if tag is None:
         raise WireCodecError(f"unknown type id {type_id}")
     cls = _lookup(tag)
-    reader = _Reader(data, end, end + length)
+    reader = codec.Reader(data, end, end + length)
     message = cls.__new__(cls)
     try:
         for name in cls.fields:
-            setattr(message, name, _unpack_value(reader))
-    except WireCodecError:
-        raise
+            setattr(message, name, codec.unpack(reader))
     except Exception as exc:
         raise WireCodecError(f"malformed frame payload: {exc}") from exc
     if reader.pos != reader.end:
@@ -524,39 +248,27 @@ def _decode_v2_frame(data: bytes, offset: int
 def decode_datagram(data: bytes) -> List[Tuple[int, WireMessage]]:
     """Deserialise a datagram into every ``(sender id, message)`` it packs.
 
-    A v1 datagram yields exactly one pair; a v2 datagram yields one per
-    frame.  Any defect anywhere raises :class:`WireCodecError` — a
-    datagram is accepted or rejected whole.
+    Any defect anywhere raises :class:`WireCodecError` — a datagram is
+    accepted or rejected whole.
     """
     if not data:
         raise WireCodecError("empty datagram")
-    if data[0] == 0x7B:  # "{" — a v1 JSON object
-        return [_decode_v1(data)]
-    if data[0] != (MAGIC >> 8):
-        raise WireCodecError(f"unrecognised datagram lead byte {data[0]:#04x}")
     messages: List[Tuple[int, WireMessage]] = []
     offset = 0
     while offset < len(data):
-        offset, sender, message = _decode_v2_frame(data, offset)
+        offset, sender, message = _decode_frame(data, offset)
         messages.append((sender, message))
     return messages
 
 
 def decode(data: bytes) -> Tuple[int, WireMessage]:
-    """Deserialise a single-message datagram back into ``(sender, message)``.
+    """Deserialise a single-frame datagram back into ``(sender, message)``.
 
     Raises :class:`WireCodecError` if the datagram packs more than one
-    frame; transports that coalesce use :func:`decode_datagram`.
+    frame.
     """
     messages = decode_datagram(data)
     if len(messages) != 1:
         raise WireCodecError(
             f"expected a single-frame datagram, got {len(messages)} frames")
     return messages[0]
-
-
-def _float_fields_equal(left: Any, right: Any) -> bool:  # pragma: no cover
-    """Test helper: equality where nan == nan (used by the fuzz suite)."""
-    if isinstance(left, float) and isinstance(right, float):
-        return (math.isnan(left) and math.isnan(right)) or left == right
-    return bool(left == right)

@@ -1,38 +1,43 @@
-"""Seeded fuzzing of the wire codec (property + adversarial suites).
+"""Seeded fuzzing of the wire format and the value codec.
 
-Two properties of :mod:`repro.runtime.wire` are load-bearing for the
-live runtime and checked here mechanically:
+Three properties of :mod:`repro.runtime.wire` and
+:mod:`repro.storage.codec` are load-bearing for the live runtime and
+the file storage, and checked here mechanically:
 
-* **Round-trip identity across versions** — for every registered
-  message class, a message built from random field values must survive
-  ``encode → decode`` under wire v1 *and* v2, and both versions must
-  decode to the same sender, the same type and equal field values
-  (``nan`` compared by identity of kind, not ``==``).  This is what
-  makes the version knob an honest A/B: the two formats are different
-  bytes for the same meaning.
-* **Total decoder** — feeding :func:`~repro.runtime.wire.decode_datagram`
-  arbitrary bytes (random blobs, bit-flipped valid datagrams, truncated
-  tails, length-field lies) must either return decoded messages or raise
+* **Round-trip identity** — for every registered message class, a
+  message built from random field values must survive
+  ``encode_frame → decode`` with the same sender, the same type and
+  equal field values (``nan`` compared by identity of kind, not ``==``).
+* **Total datagram decoder** — feeding
+  :func:`~repro.runtime.wire.decode_datagram` arbitrary bytes (random
+  blobs, bit-flipped valid datagrams, truncated tails, length-field
+  lies) must either return decoded messages or raise
   :class:`~repro.runtime.wire.WireCodecError`.  Any other exception is a
   crash a malformed UDP packet could trigger remotely.
+* **Total value decoder** — feeding :func:`repro.storage.codec.decode`
+  arbitrary bytes (random blobs, mutated encodings of random values)
+  must return a value or raise :class:`~repro.storage.codec.CodecError`
+  (or :class:`~repro.runtime.wire.WireCodecError`).  Any other exception
+  is a crash a corrupted record on disk could trigger at recovery.
 
 Everything is driven by one seed, so a reported defect reproduces from
 its printed iteration seed.  The ``repro wirefuzz`` CLI command runs
-both suites (CI runs it as a bounded smoke step); the property tests
-reuse the same engine with fixed seeds.
+all three suites (CI runs it as a bounded smoke step); the property
+tests reuse the same engine with fixed seeds.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.runtime import wire
+from repro.storage import codec
 from repro.transport.message import WireMessage
 
-__all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "run_fuzz",
-           "registered_classes", "random_fields", "equivalent"]
+__all__ = ["FuzzReport", "fuzz_roundtrip", "fuzz_decode", "fuzz_codec",
+           "run_fuzz", "registered_classes", "random_fields", "equivalent"]
 
 
 class FuzzReport:
@@ -67,7 +72,8 @@ class FuzzReport:
 
 
 def registered_classes() -> List[Tuple[str, Type[WireMessage]]]:
-    """Every imported message class with an unambiguous tag, sorted.
+    """Every imported message class with a wire type id and an
+    unambiguous tag, sorted.
 
     Classes are discovered the same way the decoder dispatches, so the
     fuzzed universe is exactly the decodable universe.  The protocol
@@ -79,11 +85,11 @@ def registered_classes() -> List[Tuple[str, Type[WireMessage]]]:
     found: Dict[str, Optional[Type[WireMessage]]] = {}
     wire._walk(WireMessage, found)
     return sorted((tag, cls) for tag, cls in found.items()
-                  if cls is not None and tag != WireMessage.type)
+                  if cls is not None and tag in wire.TYPE_ID_TABLE)
 
 
 def _scalar(rng: random.Random) -> Any:
-    kind = rng.randrange(8)
+    kind = rng.randrange(9)
     if kind == 0:
         return None
     if kind == 1:
@@ -103,6 +109,8 @@ def _scalar(rng: random.Random) -> Any:
         return rng.randrange(0, 2 ** 200)  # varint stress
     if kind == 6:
         return ""
+    if kind == 7:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(6)))
     return rng.randrange(-10, 10)
 
 
@@ -126,8 +134,7 @@ def _hashable(rng: random.Random) -> Any:
 
 
 def random_value(rng: random.Random, depth: int = 0) -> Any:
-    """A random value from the codec's supported universe (minus bytes,
-    which wire v1's storage codec deliberately rejects)."""
+    """A random value from the codec's supported universe."""
     if depth >= 3 or rng.random() < 0.55:
         return _scalar(rng)
     kind = rng.randrange(5)
@@ -174,7 +181,7 @@ def equivalent(left: Any, right: Any) -> bool:
 
 
 def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
-    """Cross-version round-trip fuzzing over every registered class."""
+    """Round-trip fuzzing over every registered class."""
     report = FuzzReport()
     classes = registered_classes()
     master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
@@ -183,14 +190,10 @@ def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
         rng = random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
         tag, cls = classes[iteration % len(classes)]
         fields = random_fields(cls, rng)
-        sender = rng.choice([0, 1, rng.randrange(0, 2 ** 32),
-                             rng.randrange(2 ** 32, 2 ** 40)])
+        sender = rng.choice([0, 1, rng.randrange(0, 2 ** 32)])
         message = wire.rebuild(tag, fields)
         try:
-            decoded = {}
-            for version in (1, 2):
-                data = wire.encode(sender, message, version=version)
-                decoded[version] = wire.decode(data)
+            got_sender, got = wire.decode(wire.encode_frame(sender, message))
         except wire.WireCodecError as exc:
             report.defects.append(
                 ("roundtrip", sub_seed, f"{tag}: encode/decode raised {exc}"))
@@ -200,77 +203,114 @@ def fuzz_roundtrip(iterations: int = 200, seed: int = 0) -> FuzzReport:
                 ("roundtrip", sub_seed,
                  f"{tag}: non-codec exception {type(exc).__name__}: {exc}"))
             continue
-        for version, (got_sender, got) in decoded.items():
-            if got_sender != sender:
-                report.defects.append(
-                    ("roundtrip", sub_seed,
-                     f"{tag} v{version}: sender {got_sender} != {sender}"))
-            elif type(got) is not cls:
-                report.defects.append(
-                    ("roundtrip", sub_seed,
-                     f"{tag} v{version}: decoded {type(got).__name__}"))
-            else:
-                for name in cls.fields:
-                    if not equivalent(fields[name], getattr(got, name)):
-                        report.defects.append(
-                            ("roundtrip", sub_seed,
-                             f"{tag} v{version}: field {name!r} "
-                             f"{fields[name]!r} != {getattr(got, name)!r}"))
+        if got_sender != sender:
+            report.defects.append(
+                ("roundtrip", sub_seed,
+                 f"{tag}: sender {got_sender} != {sender}"))
+        elif type(got) is not cls:
+            report.defects.append(
+                ("roundtrip", sub_seed, f"{tag}: decoded {type(got).__name__}"))
+        else:
+            for name in cls.fields:
+                if not equivalent(fields[name], getattr(got, name)):
+                    report.defects.append(
+                        ("roundtrip", sub_seed,
+                         f"{tag}: field {name!r} "
+                         f"{fields[name]!r} != {getattr(got, name)!r}"))
         report.roundtrips += 1
     return report
+
+
+def _mutate(rng: random.Random, data: bytearray, strategy: int,
+            header_size: int) -> bytes:
+    """Damage a structurally valid encoding in one of four ways."""
+    if strategy == 1 and data:  # bit flip
+        position = rng.randrange(len(data))
+        data[position] ^= 1 << rng.randrange(8)
+    elif strategy == 2:  # truncate
+        data = data[:rng.randrange(0, len(data) + 1)]
+    elif strategy == 3 and len(data) >= header_size:  # length lies
+        data[-rng.randrange(1, header_size):] = b""
+        data += bytes(rng.randrange(256) for _ in range(rng.randrange(8)))
+    elif strategy == 4:  # concatenate junk behind a valid encoding
+        data += bytes(rng.randrange(256)
+                      for _ in range(rng.randrange(1, 32)))
+    return bytes(data)
+
+
+def _random_blob(rng: random.Random) -> bytes:
+    return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 160)))
 
 
 def _adversarial_blob(rng: random.Random) -> bytes:
     """One malformed-or-maybe-valid datagram."""
     strategy = rng.randrange(5)
     if strategy == 0:
-        return bytes(rng.randrange(256)
-                     for _ in range(rng.randrange(0, 160)))
-    # The remaining strategies mutate a structurally valid datagram.
+        return _random_blob(rng)
     classes = registered_classes()
     tag, cls = classes[rng.randrange(len(classes))]
     message = wire.rebuild(tag, random_fields(cls, rng))
     try:
-        data = bytearray(wire.encode(rng.randrange(0, 2 ** 32), message,
-                                     version=rng.choice([1, 2])))
+        data = bytearray(wire.encode_frame(rng.randrange(0, 2 ** 32),
+                                           message))
     except wire.WireCodecError:
         return b""
-    if strategy == 1 and data:  # bit flip
-        position = rng.randrange(len(data))
-        data[position] ^= 1 << rng.randrange(8)
-    elif strategy == 2:  # truncate
-        data = data[:rng.randrange(0, len(data) + 1)]
-    elif strategy == 3 and len(data) >= wire.HEADER.size:  # length lies
-        data[-rng.randrange(1, wire.HEADER.size):] = b""
-        data += bytes(rng.randrange(256) for _ in range(rng.randrange(8)))
-    elif strategy == 4:  # concatenate junk behind a valid datagram
-        data += bytes(rng.randrange(256)
-                      for _ in range(rng.randrange(1, 32)))
-    return bytes(data)
+    return _mutate(rng, data, strategy, wire.HEADER.size)
 
 
-def fuzz_decode(iterations: int = 2000, seed: int = 0) -> FuzzReport:
-    """Adversarial decoding: anything but WireCodecError is a defect."""
+def _adversarial_value(rng: random.Random) -> bytes:
+    """One malformed-or-maybe-valid encoded value."""
+    strategy = rng.randrange(5)
+    if strategy == 0:
+        return _random_blob(rng)
+    try:
+        data = bytearray(codec.encode(random_value(rng)))
+    except codec.CodecError:
+        return b""
+    return _mutate(rng, data, strategy, 2)
+
+
+def _fuzz_total(suite: str, make_blob: Callable[[random.Random], bytes],
+                decode: Callable[[bytes], Any],
+                errors: Tuple[Type[Exception], ...],
+                iterations: int, seed: int) -> FuzzReport:
+    """Feed ``decode`` adversarial blobs; any exception outside
+    ``errors`` is a defect."""
     report = FuzzReport()
     master = random.Random(seed)  # repro: noqa(DET004) -- fuzz harness: explicitly seeded by the caller
     for _ in range(iterations):
         sub_seed = master.randrange(2 ** 63)
         rng = random.Random(sub_seed)  # repro: noqa(DET004) -- per-iteration stream; sub_seed printed for replay
-        blob = _adversarial_blob(rng)
+        blob = make_blob(rng)
         report.decode_attempts += 1
         try:
-            wire.decode_datagram(blob)
+            decode(blob)
             report.accepted += 1
-        except wire.WireCodecError:
+        except errors:
             report.clean_rejections += 1
         except Exception as exc:  # noqa: BLE001 - the property under test
             report.defects.append(
-                ("decode", sub_seed,
+                (suite, sub_seed,
                  f"{type(exc).__name__}: {exc} on {blob[:64]!r}"))
     return report
 
 
+def fuzz_decode(iterations: int = 2000, seed: int = 0) -> FuzzReport:
+    """Adversarial datagrams: anything but WireCodecError is a defect."""
+    return _fuzz_total("decode", _adversarial_blob, wire.decode_datagram,
+                       (wire.WireCodecError,), iterations, seed)
+
+
+def fuzz_codec(iterations: int = 2000, seed: int = 0) -> FuzzReport:
+    """Adversarial encoded values: anything but a codec error is a
+    defect."""
+    return _fuzz_total("codec", _adversarial_value, codec.decode,
+                       (codec.CodecError, wire.WireCodecError),
+                       iterations, seed)
+
+
 def run_fuzz(iterations: int = 500, seed: int = 0) -> FuzzReport:
-    """Both suites under one seed (the CLI/CI entry point)."""
+    """All three suites under one seed (the CLI/CI entry point)."""
     report = fuzz_roundtrip(iterations, seed)
-    return report.merge(fuzz_decode(iterations * 4, seed + 1))
+    report.merge(fuzz_decode(iterations * 4, seed + 1))
+    return report.merge(fuzz_codec(iterations * 4, seed + 2))

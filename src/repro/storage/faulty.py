@@ -37,6 +37,7 @@ import random
 from typing import Any, Dict, Iterable, Optional
 
 from repro.errors import ReproError
+from repro.storage import codec
 from repro.storage.file import FileStorage, frame_record
 from repro.storage.stable import StableStorage
 
@@ -191,7 +192,6 @@ class FaultyStorage(StableStorage):
         inner = self.inner
         if not isinstance(inner, FileStorage):
             return False
-        from repro.storage import codec
         raw = frame_record(codec.encode(value))
         # Keep the header and some payload, lose the tail.
         cut = raw.find(b"\n") + 1

@@ -1,10 +1,10 @@
 """File-backed stable storage with corruption detection and self-healing.
 
-One record file per key under a node-specific directory.  Every record is
-framed for integrity checking::
+One record file (``<escaped key>.rec``) per key under a node-specific
+directory.  Every record is framed for integrity checking::
 
     <crc32 of payload, 8 hex digits> <payload length in bytes>\\n
-    <payload: UTF-8 tagged-JSON from repro.storage.codec>
+    <payload: the value's bytes from repro.storage.codec>
 
 and written with the classic write-to-temp / fsync / rename / fsync-dir
 sequence, so a crash at *any* instant leaves either the old record or the
@@ -12,13 +12,14 @@ new one — never a blend — and the rename itself is durable (the directory
 entry is flushed too, not just the file contents).
 
 Self-healing: a record that fails its frame check (torn tail after a
-mid-``fsync`` crash, bit rot, truncation) is **quarantined** — moved
-aside into a ``quarantine/`` subdirectory, counted in
-``metrics.quarantined`` — and reads return the caller's default, exactly
-as if the record had never been logged.  For the paper's protocols that
-is the correct semantics: a value whose log did not complete was never
-durably logged, so recovery must proceed as if the ``log`` call crashed
-before the write (the protocols are designed for precisely that).  A
+mid-``fsync`` crash, bit rot, truncation), or whose checked payload
+does not decode, is **quarantined** — moved aside into a
+``quarantine/`` subdirectory, counted in ``metrics.quarantined`` — and
+reads return the caller's default, exactly as if the record had never
+been logged.  For the paper's protocols that is the correct semantics:
+a value whose log did not complete was never durably logged, so
+recovery must proceed as if the ``log`` call crashed before the write
+(the protocols are designed for precisely that).  A
 recovery scan at open time sweeps stale temp files and proactively
 quarantines corrupt records so a recovering node starts from a clean
 directory; :attr:`FileStorage.recovery_report` lists what was healed.
@@ -30,13 +31,17 @@ fsync-heavy rename dance per record.  All records logged inside one
 write followed by a **single fsync** — that fsync *is* the barrier's
 durability point — after which each record is applied to its per-key
 file with plain buffered I/O (no fsync: the journal already holds the
-data).  A write outside any barrier commits as a batch of one, still
-one fsync instead of the classic path's two.  At open time the journal
-is replayed — every journalled record is re-applied with the classic
-safe sequence and the journal truncated — so a crash between commit and
-application loses nothing, and a crash *during* a commit discards only
-the torn tail of the journal, i.e. some suffix of an uncommitted batch,
-which the barrier contract explicitly allows.  Once the journal passes a
+data).  A journal record is the codec encoding of ``("w", key,
+payload)`` or ``("d", key)``, where ``payload`` is the value's encoded
+bytes: each value is encoded once per commit, and both the per-key file
+and journal replay reuse those bytes.  A write outside any barrier
+commits as a batch of one, still one fsync instead of the classic
+path's two.  At open time the journal is replayed — every journalled
+record is re-applied with the classic safe sequence and the journal
+truncated — so a crash between commit and application loses nothing,
+and a crash *during* a commit discards only the torn tail of the
+journal, i.e. some suffix of an uncommitted batch, which the barrier
+contract explicitly allows.  Once the journal passes a
 size threshold it is checkpointed: the applied files are fsynced and the
 journal truncated, bounding replay time.  The ``group_commits`` /
 ``group_commit_records`` counters report the batching rate.
@@ -54,11 +59,12 @@ import zlib
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.storage import codec
+from repro.storage.codec import CodecError
 from repro.storage.stable import StableStorage
 
 __all__ = ["FileStorage", "frame_record", "unframe_record"]
 
-_SUFFIX = ".json"
+_SUFFIX = ".rec"
 _QUARANTINE_DIR = "quarantine"
 _JOURNAL_NAME = "wal.log"
 _CHECKPOINT_BYTES = 1 << 20
@@ -79,15 +85,14 @@ def _unescape(filename: str) -> str:
     return stem.replace("%2F", "/").replace("%25", "%")
 
 
-def frame_record(text: str) -> bytes:
+def frame_record(payload: bytes) -> bytes:
     """Frame one codec payload with its CRC32/length header."""
-    payload = text.encode("utf-8")
     header = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x} {len(payload)}\n"
     return header.encode("ascii") + payload
 
 
-def unframe_record(raw: bytes) -> str:
-    """Verify a framed record and return its payload text.
+def unframe_record(raw: bytes) -> bytes:
+    """Verify a framed record and return its payload bytes.
 
     Raises :class:`ValueError` describing the defect (torn tail, length
     mismatch, checksum mismatch, malformed header) when the record does
@@ -112,10 +117,10 @@ def unframe_record(raw: bytes) -> str:
     if actual_crc != expect_crc:
         raise ValueError(
             f"checksum mismatch: {actual_crc:08x} != {expect_crc:08x}")
-    return payload.decode("utf-8")
+    return payload
 
 
-def _iter_frames(raw: bytes) -> Iterable[str]:
+def _iter_frames(raw: bytes) -> Iterable[bytes]:
     """Yield payloads of concatenated frames, stopping at the first defect.
 
     Used for journal replay: a crash mid-commit tears the journal tail,
@@ -207,8 +212,11 @@ class FileStorage(StableStorage):
         except FileNotFoundError:
             return
         replayed = 0
-        for payload in _iter_frames(raw):
-            entry = codec.decode(payload)
+        for record in _iter_frames(raw):
+            try:
+                entry = codec.decode(record)
+            except CodecError:
+                break  # undecodable: treated like the torn tail it is
             op, path = entry[0], entry[1]
             if op == "w":
                 self._write_classic(path, entry[2])
@@ -305,12 +313,16 @@ class FileStorage(StableStorage):
             return
         batch = self._pending
         self._pending = {}
+        payloads: Dict[str, Any] = {}
         frames = []
         for path, value in batch.items():
             if value is _DELETED:
-                frames.append(frame_record(codec.encode(["d", path])))
+                payloads[path] = _DELETED
+                frames.append(frame_record(codec.encode(("d", path))))
             else:
-                frames.append(frame_record(codec.encode(["w", path, value])))
+                payload = payloads[path] = codec.encode(value)
+                frames.append(frame_record(codec.encode(("w", path,
+                                                         payload))))
         blob = b"".join(frames)
         with open(self._journal_path, "ab") as handle:
             handle.write(blob)
@@ -322,9 +334,9 @@ class FileStorage(StableStorage):
         # Durability is settled; application is plain buffered I/O.  A
         # crash before these bytes reach disk is healed by journal
         # replay at the next open.
-        for path, value in batch.items():
+        for path, payload in payloads.items():
             target = self._file_for(path)
-            if value is _DELETED:
+            if payload is _DELETED:
                 try:
                     os.unlink(target)
                 except FileNotFoundError:
@@ -332,7 +344,7 @@ class FileStorage(StableStorage):
                 self._unsynced.discard(target)
             else:
                 with open(target, "wb") as handle:
-                    handle.write(frame_record(codec.encode(value)))
+                    handle.write(frame_record(payload))
                 self._unsynced.add(target)
         if self._journal_bytes >= _CHECKPOINT_BYTES:
             self._checkpoint()
@@ -353,8 +365,9 @@ class FileStorage(StableStorage):
 
     # -- backend hooks -------------------------------------------------------
 
-    def _write_classic(self, path: str, value: Any) -> None:
-        raw = frame_record(codec.encode(value))
+    def _write_classic(self, path: str, payload: bytes) -> None:
+        """Durably replace one record file with ``payload``, framed."""
+        raw = frame_record(payload)
         fd, tmp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -369,7 +382,7 @@ class FileStorage(StableStorage):
 
     def _write(self, path: str, value: Any) -> None:
         if not self.group_commit:
-            self._write_classic(path, value)
+            self._write_classic(path, codec.encode(value))
             return
         self._pending[path] = value
         if self._barrier_depth == 0:
@@ -386,7 +399,7 @@ class FileStorage(StableStorage):
             return default
         try:
             return codec.decode(unframe_record(raw))
-        except ValueError as exc:
+        except (ValueError, CodecError) as exc:
             # Detected lazily (corruption after the open-time scan, e.g.
             # an injected disk fault): heal in place and report no record.
             self._quarantine(_escape(path), path, str(exc))

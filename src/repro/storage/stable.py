@@ -11,7 +11,7 @@ Two concrete backends exist:
 
 * :class:`~repro.storage.memory.MemoryStorage` — crash-surviving in-memory
   store for simulation (the simulator owns it; node crashes never touch it).
-* :class:`~repro.storage.file.FileStorage` — JSON-file-backed store for
+* :class:`~repro.storage.file.FileStorage` — file-backed store for
   real deployments and durability tests.
 """
 

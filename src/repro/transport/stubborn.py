@@ -40,11 +40,12 @@ launched towards a peer within one scheduling turn are flushed as a
 single :class:`StubbornBatch` event, and acknowledgements owed to that
 peer piggyback on the batch (or flush as one batched ack when no data is
 going that way).  On the simulated runtime that turns N sends + N acks
-into 2 events; on the live runtime the batch is one wire message, which
-the v2 transport packs into one datagram.  Retransmissions stay
-per-envelope (they are the rare path) and per-envelope ack/window
-bookkeeping is unchanged, so the retransmission policy and its metrics
-mean the same thing with coalescing on or off.
+into 2 events; on the live runtime the batch is one wire message and
+one datagram, and a batch too large for a datagram is split in half
+until each part fits.  Retransmissions stay per-envelope (they are the
+rare path) and per-envelope ack/window bookkeeping is unchanged, so the
+retransmission policy and its metrics mean the same thing with
+coalescing on or off.
 
 Delivery stays *at-least-once*: a lost ack causes a duplicate
 transmission, which the protocols tolerate by design (the raw channels
@@ -60,6 +61,7 @@ from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 import random
 
+from repro.errors import OversizeDatagramError
 from repro.runtime import NodeComponent, Runtime, TimerHandle
 from repro.runtime import wire
 from repro.transport.message import WireMessage
@@ -413,13 +415,7 @@ class StubbornLink(NodeComponent):
         first = 0
         while first < len(entries) or (first == 0 and acks):
             chunk = entries[first:first + config.max_batch]
-            batch = StubbornBatch(tuple(chunk), tuple(acks) if first == 0
-                                  else ())
-            self.channel.inner.send(node.node_id, dst, batch)
-            metrics.batches_sent += 1
-            metrics.batched_entries += len(chunk)
-            if first == 0 and chunk:
-                metrics.piggybacked_acks += len(acks)
+            self._send_batch(dst, chunk, acks if first == 0 else [])
             first += config.max_batch
             if not chunk:
                 break
@@ -427,6 +423,33 @@ class StubbornLink(NodeComponent):
             delay = self._backoff(flight.attempts)
             flight.attempts += 1
             flight.timer = node.sim.schedule(delay, self._retry, dst, flight)
+
+    def _send_batch(self, dst: int, entries: List[Any],
+                    acks: List[int]) -> None:
+        """Send one StubbornBatch, halving it while the medium refuses it.
+
+        A live medium raises :class:`OversizeDatagramError` when the
+        encoded batch exceeds one datagram; the entries are then split
+        in half and each half resent, the acks riding on the first.  A
+        single entry too large for a datagram still raises.
+        """
+        assert self.node is not None
+        metrics = self.channel.metrics
+        try:
+            self.channel.inner.send(self.node.node_id, dst,
+                                    StubbornBatch(tuple(entries),
+                                                  tuple(acks)))
+        except OversizeDatagramError:
+            if len(entries) < 2:
+                raise
+            half = len(entries) // 2
+            self._send_batch(dst, entries[:half], acks)
+            self._send_batch(dst, entries[half:], [])
+            return
+        metrics.batches_sent += 1
+        metrics.batched_entries += len(entries)
+        if entries:
+            metrics.piggybacked_acks += len(acks)
 
     def _transmit(self, dst: int, flight: _Flight,
                   first: bool = False) -> None:

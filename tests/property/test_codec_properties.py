@@ -1,4 +1,4 @@
-"""Property-based tests for the storage codec and the size model."""
+"""Property-based tests for the value codec and the size model."""
 
 from __future__ import annotations
 
@@ -14,18 +14,23 @@ scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
-    st.floats(allow_nan=False, allow_infinity=False),
+    # nan != nan defeats == on the round trip; it has its own unit test.
+    st.floats(allow_nan=False),
     st.text(max_size=30),
+    st.binary(max_size=12),
 )
 
-json_values = st.recursive(
+codec_values = st.recursive(
     scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.dictionaries(st.text(max_size=8), children, max_size=5),
+        # non-str keys: any hashable scalar
+        st.dictionaries(scalars, children, max_size=5),
         # tuples/sets only over hashable scalars
         st.lists(scalars, max_size=5).map(tuple),
         st.frozensets(scalars, max_size=5),
+        st.sets(scalars, max_size=5),
     ),
     max_leaves=20,
 )
@@ -40,12 +45,12 @@ app_messages = st.builds(
 )
 
 
-@given(json_values)
+@given(codec_values)
 def test_codec_round_trip(value):
     assert codec.decode(codec.encode(value)) == value
 
 
-@given(json_values)
+@given(codec_values)
 def test_codec_is_deterministic(value):
     assert codec.encode(value) == codec.encode(value)
 
@@ -58,7 +63,7 @@ def test_app_message_sets_round_trip(batch):
         {m.id: m.payload for m in batch}
 
 
-@given(json_values)
+@given(codec_values)
 def test_estimate_size_total_and_positive(value):
     size = estimate_size(value)
     assert isinstance(size, int)

@@ -1,4 +1,5 @@
-"""Property suite for the wire codec, driven by the wirefuzz engine.
+"""Property suite for the wire format and value codec, driven by the
+wirefuzz engine.
 
 Fixed seeds keep the suite deterministic; a failure prints the
 iteration sub-seed so the exact case replays via
@@ -20,9 +21,9 @@ def _describe(report):
                      for suite, seed, detail in report.defects)
 
 
-def test_every_registered_class_round_trips_across_versions():
-    """encode -> decode under v1 and v2 must reproduce sender, class and
-    field values for every importable message class."""
+def test_every_registered_class_round_trips():
+    """encode_frame -> decode must reproduce sender, class and field
+    values for every importable message class."""
     report = wirefuzz.fuzz_roundtrip(iterations=150, seed=2024)
     assert report.ok, _describe(report)
     # Every registered class was actually exercised (round-robin).
@@ -33,6 +34,13 @@ def test_adversarial_bytes_raise_only_wirecodecerror():
     report = wirefuzz.fuzz_decode(iterations=600, seed=2025)
     assert report.ok, _describe(report)
     assert report.clean_rejections > 0  # the suite did reject things
+
+
+def test_adversarial_values_raise_only_codec_errors():
+    report = wirefuzz.fuzz_codec(iterations=600, seed=2026)
+    assert report.ok, _describe(report)
+    assert report.clean_rejections > 0
+    assert report.accepted > 0  # some mutations still decode
 
 
 def test_fuzz_universe_covers_type_id_table():
@@ -50,17 +58,16 @@ def test_fuzz_universe_covers_type_id_table():
 
 
 def test_nonfinite_floats_round_trip_on_the_wire():
-    for version in (1, 2):
-        message = wire.rebuild("stub.ack", {"seq": math.nan})
-        _, got = wire.decode(wire.encode(0, message, version=version))
-        assert isinstance(got.seq, float) and math.isnan(got.seq)
-        for value in (math.inf, -math.inf):
-            message = wire.rebuild("stub.ack", {"seq": value})
-            _, got = wire.decode(wire.encode(0, message, version=version))
-            assert got.seq == value
-        message = wire.rebuild("stub.ack", {"seq": -0.0})
-        _, got = wire.decode(wire.encode(0, message, version=version))
-        assert got.seq == 0.0 and math.copysign(1.0, got.seq) == -1.0
+    message = wire.rebuild("stub.ack", {"seq": math.nan})
+    _, got = wire.decode(wire.encode_frame(0, message))
+    assert isinstance(got.seq, float) and math.isnan(got.seq)
+    for value in (math.inf, -math.inf):
+        message = wire.rebuild("stub.ack", {"seq": value})
+        _, got = wire.decode(wire.encode_frame(0, message))
+        assert got.seq == value
+    message = wire.rebuild("stub.ack", {"seq": -0.0})
+    _, got = wire.decode(wire.encode_frame(0, message))
+    assert got.seq == 0.0 and math.copysign(1.0, got.seq) == -1.0
 
 
 def test_depth_bomb_is_cleanly_rejected():

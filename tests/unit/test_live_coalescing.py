@@ -1,20 +1,22 @@
-"""Unit tests for LiveNetwork's datagram coalescing and oversize guard.
+"""Unit tests for LiveNetwork's datagram path and oversize guard.
 
-The end-to-end live contract (full clusters over localhost UDP) lives in
+Every send is one frame in one datagram: nothing is buffered or packed
+by the medium (batching is the stubborn channel's job).  The end-to-end
+live contract (full clusters over localhost UDP) lives in
 tests/integration/; here the medium is exercised directly: a handful of
-nodes with real sockets on one loop, so the datagram/frame counters can
-be asserted exactly.
+nodes with real sockets on one loop, so the datagram counters can be
+asserted exactly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import OversizeDatagramError, ReproError
 from repro.runtime import Node
 from repro.runtime.live import LiveRuntime
-from repro.runtime.live_net import LiveNetwork, OversizeDatagramError
-from repro.runtime.wire import WireConfig
+from repro.runtime.live_net import MAX_DATAGRAM_BYTES, LiveNetwork
+from repro.runtime.wire import register_type_id
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 
@@ -27,9 +29,12 @@ class Ping(WireMessage):
         self.tag = tag
 
 
-def build(wire_config=None, n=2):
+register_type_id(Ping.type, 60001)
+
+
+def build(n=2):
     runtime = LiveRuntime(seed=5)
-    network = LiveNetwork(runtime, wire_config=wire_config)
+    network = LiveNetwork(runtime)
     got = []
     for node_id in range(n):
         node = Node(runtime, node_id, MemoryStorage())
@@ -42,58 +47,28 @@ def build(wire_config=None, n=2):
 
 
 class TestCoalescing:
-    def test_same_turn_sends_share_one_datagram(self):
-        runtime, network, got = build()
-        try:
-            for index in range(5):
-                network.send(0, 1, Ping(index))
-            runtime.run_for(0.2)
-            runtime.check_errors()
-            assert sorted(tag for _, _, tag in got) == list(range(5))
-            assert network.frames_sent == 5
-            assert network.datagrams_sent == 1
-            assert network.frames_coalesced == 4
-        finally:
-            network.close_all()
-            runtime.close()
-
-    def test_flush_by_size_bound(self):
-        config = WireConfig(max_frame_bytes=64)
-        runtime, network, got = build(config)
-        try:
-            for index in range(8):
-                network.send(0, 1, Ping("x" * 40))
-            runtime.run_for(0.2)
-            runtime.check_errors()
-            assert len(got) == 8
-            # Each frame is ~60 bytes, so no datagram packed them all.
-            assert network.datagrams_sent > 1
-        finally:
-            network.close_all()
-            runtime.close()
-
     def test_coalescing_off_sends_one_datagram_per_message(self):
-        config = WireConfig(version=2, coalesce=False)
-        runtime, network, got = build(config)
+        runtime, network, got = build()
         try:
             for index in range(4):
                 network.send(0, 1, Ping(index))
+            # Sent at once, not on a later loop turn.
+            assert network.datagrams_sent == 4
             runtime.run_for(0.2)
             runtime.check_errors()
-            assert len(got) == 4
+            assert sorted(tag for _, _, tag in got) == list(range(4))
             assert network.datagrams_sent == 4
-            assert network.frames_coalesced == 0
         finally:
             network.close_all()
             runtime.close()
 
     def test_close_drops_buffered_frames(self):
-        """Buffered frames are volatile sender state: a crash between
-        enqueue and flush must lose them, not leak them to the wire."""
+        """A closed sender has no socket: its sends are lost, never
+        leaked to the wire."""
         runtime, network, got = build()
         try:
+            network.close(0)  # crash
             network.send(0, 1, Ping("doomed"))
-            network.close(0)  # crash before the flush callback runs
             runtime.run_for(0.2)
             runtime.check_errors()
             assert got == []
@@ -105,18 +80,17 @@ class TestCoalescing:
 
 class TestOversizeGuard:
     def test_oversize_message_raises_typed_error_and_counts(self):
-        config = WireConfig(max_datagram_bytes=512, max_frame_bytes=512)
-        runtime, network, got = build(config)
+        runtime, network, got = build()
         try:
             lost_before = network.metrics.lost
             with pytest.raises(OversizeDatagramError) as info:
-                network.send(0, 1, Ping("y" * 2000))
+                network.send(0, 1, Ping("y" * MAX_DATAGRAM_BYTES))
             assert network.oversize_drops == 1
             assert network.metrics.lost == lost_before + 1
             error = info.value
             assert isinstance(error, ReproError)
             assert error.message_type == Ping.type
-            assert error.size > error.limit == 512
+            assert error.size > error.limit == MAX_DATAGRAM_BYTES
             # The medium stays usable after the drop.
             network.send(0, 1, Ping("small"))
             runtime.run_for(0.2)
@@ -127,14 +101,14 @@ class TestOversizeGuard:
             runtime.close()
 
     def test_guard_applies_without_coalescing_too(self):
-        config = WireConfig(version=1, max_datagram_bytes=512,
-                            max_frame_bytes=512)
-        runtime, network, _ = build(config)
+        """The guard fires before the socket: nothing reaches the wire."""
+        runtime, network, _ = build()
         try:
             with pytest.raises(OversizeDatagramError):
-                network.send(0, 1, Ping("z" * 2000))
+                network.send(0, 1, Ping("z" * 70000))
             assert network.oversize_drops == 1
             assert network.datagrams_sent == 0
+            assert network.wire_bytes_sent == 0
         finally:
             network.close_all()
             runtime.close()

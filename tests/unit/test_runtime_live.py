@@ -16,7 +16,8 @@ from repro.core.messages import AppMessage, GossipMessage, StateMessage
 from repro.errors import SimulationError
 from repro.runtime import AnyOf
 from repro.runtime.live import LiveRuntime
-from repro.runtime.wire import WireCodecError, decode, encode
+from repro.runtime.wire import (HEADER, MAGIC, WireCodecError, decode, encode,
+                                rebuild)
 
 
 @pytest.fixture
@@ -53,9 +54,11 @@ def test_wire_roundtrip_state():
 
 def test_wire_rejects_garbage_and_unknown_tags():
     with pytest.raises(WireCodecError):
-        decode(b"\xff\x00 not json")
-    with pytest.raises(WireCodecError):
-        decode(b'{"s": 0, "t": "no.such.tag", "f": {}}')
+        decode(b"\xff\x00 not a frame")
+    with pytest.raises(WireCodecError, match="unknown type id"):
+        decode(HEADER.pack(MAGIC, 2, 0, 0xFFFF, 0))
+    with pytest.raises(WireCodecError, match="unknown wire type tag"):
+        rebuild("no.such.tag", {})
 
 
 def test_wire_duplicate_tag_is_ambiguous_not_fatal():
@@ -72,7 +75,7 @@ def test_wire_duplicate_tag_is_ambiguous_not_fatal():
         fields = ()
 
     with pytest.raises(WireCodecError, match="ambiguous"):
-        decode(b'{"s": 0, "t": "test.wire.dup", "f": {}}')
+        rebuild("test.wire.dup", {})
     # Protocol tags keep working despite the collision.
     sender, message = decode(encode(4, StateMessage(1, [])))
     assert (sender, message.k) == (4, 1)

@@ -157,9 +157,13 @@ class TestFileDurability:
 
 class TestCodec:
     def test_round_trip_primitives(self):
-        for value in (None, True, 0, -5, 2.5, "s", [1, [2]], (1, (2,)),
-                      {1, 2}, frozenset({3}), {"k": "v"}, {1: "nonstr"}):
-            assert codec.decode(codec.encode(value)) == value
+        for value in (None, True, 0, -5, 2 ** 70, -2 ** 70, 2.5, "s",
+                      "snow \u2603", b"\x00raw", [1, [2]], (1, (2,)),
+                      {1, 2}, frozenset({3}), {"k": "v"}, {1: "nonstr"},
+                      {(1, "t"): frozenset({None})}, [], (), {}):
+            got = codec.decode(codec.encode(value))
+            assert got == value
+            assert type(got) is type(value)
 
     def test_dict_with_reserved_key(self):
         value = {"__t": "sneaky"}
@@ -177,20 +181,38 @@ class TestCodec:
             codec.register(int, "AppMessage", lambda x: x, lambda x: x)
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(StorageError):
-            codec.decode('{"__t": "NoSuchTag", "v": 1}')
+        # A registered-class envelope ("R") naming a tag nobody
+        # registered, carrying the int 1.
+        with pytest.raises(codec.CodecError):
+            codec.decode(b"R\x09NoSuchTagi\x02")
 
     def test_deterministic_encoding(self):
-        value = {"b": 1, "a": 2}
-        assert codec.encode(value) == codec.encode({"a": 2, "b": 1})
+        # Set members are sorted by their encoding, so equal sets encode
+        # identically whatever order they were built in.
+        forwards = set(range(40))
+        backwards = set(range(39, -1, -1))
+        assert codec.encode(forwards) == codec.encode(backwards)
+        assert codec.encode(frozenset({"b", "a"})) == \
+            codec.encode(frozenset({"a", "b"}))
+
+    def test_app_messages_round_trip(self):
+        batch = frozenset({AppMessage(MessageId(1, 1, 3), ("put", "k", 5)),
+                           AppMessage(MessageId(2, 1, 1), None)})
+        got = codec.decode(codec.encode(batch))
+        assert got == batch
+        assert {m.id: m.payload for m in got} == \
+            {m.id: m.payload for m in batch}
+
+    def test_malformed_bytes_raise_codec_error(self):
+        for data in (b"", b"?", b"s\x05ab", b"l\x02N", b"i\x80",
+                     b"s\x01\xff", b"NN", b"S\x01l\x00"):
+            with pytest.raises(codec.CodecError):
+                codec.decode(data)
 
 
 class TestCodecNonFiniteFloats:
-    """The original defect: non-finite floats leaked into the JSON text
-    as bare ``NaN``/``Infinity`` tokens — valid to Python's reader,
-    rejected by every strict JSON parser, and silently corrupting any
-    cross-tool consumer of the stored files.  They now travel under an
-    explicit tag."""
+    """Non-finite floats and signed zero travel as IEEE doubles, so they
+    round-trip bit for bit."""
 
     def test_nan_round_trips(self):
         import math
@@ -206,19 +228,6 @@ class TestCodecNonFiniteFloats:
         import math
         got = codec.decode(codec.encode(-0.0))
         assert got == 0.0 and math.copysign(1.0, got) == -1.0
-
-    def test_encoded_text_is_strict_json(self):
-        """The encoded form must parse under a reader with the non-JSON
-        constants disabled — i.e. no bare NaN/Infinity tokens."""
-        import json
-        import math
-
-        def reject(token):
-            raise AssertionError(f"bare non-JSON token {token!r} in output")
-
-        for value in (math.nan, math.inf, -math.inf,
-                      [1.5, math.nan], {"k": (math.inf, -0.0)}):
-            json.loads(codec.encode(value), parse_constant=reject)
 
     def test_non_finite_inside_containers(self):
         import math

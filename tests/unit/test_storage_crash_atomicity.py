@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.storage.faulty import FaultyStorage, InjectedCrashFault
-from repro.storage.file import FileStorage
+from repro.storage.file import FileStorage, frame_record
 from repro.storage.memory import MemoryStorage
 
 
@@ -69,18 +69,18 @@ class TestCrashDuringWrite:
         assert FileStorage(str(tmp_path / "store")) \
             .retrieve("never") is None
 
-    def test_successful_write_is_complete_json(self, tmp_path):
+    def test_successful_write_is_complete_record(self, tmp_path):
         storage = FileStorage(str(tmp_path / "store"))
         storage.log(("consensus", 0, "proposal"), {"complex": [1, (2,)]})
-        # Read the raw file: the frame must verify and the payload parse
+        # Read the raw file: the frame must verify and the payload decode
         # standalone (no torn writes).
         from repro.storage import codec
         from repro.storage.file import unframe_record
         directory = str(tmp_path / "store")
         (filename,) = os.listdir(directory)
         with open(os.path.join(directory, filename), "rb") as handle:
-            text = unframe_record(handle.read())
-        assert codec.decode(text) == {"complex": [1, (2,)]}
+            payload = unframe_record(handle.read())
+        assert codec.decode(payload) == {"complex": [1, (2,)]}
 
     def test_kill_halfway_through_the_write_keeps_old_value(self, tmp_path,
                                                             monkeypatch):
@@ -107,7 +107,7 @@ class TestCrashDuringWrite:
 
 
 def _record_file(directory):
-    names = [n for n in os.listdir(directory) if n.endswith(".json")]
+    names = [n for n in os.listdir(directory) if n.endswith(".rec")]
     assert len(names) == 1
     return os.path.join(directory, names[0])
 
@@ -160,6 +160,23 @@ class TestSelfHealing:
         assert storage.retrieve("k", default="fallback") == "fallback"
         assert storage.metrics.quarantined == 1
         assert "k" not in list(storage.keys())
+
+    def test_undecodable_payload_is_quarantined_like_a_torn_record(
+            self, tmp_path):
+        # The frame checks out (CRC and length match) but the payload is
+        # not a codec value: that is corruption too, not a crash.
+        directory = str(tmp_path / "store")
+        storage = FileStorage(directory)
+        storage.log("k", "value")
+        target = _record_file(directory)
+        with open(target, "wb") as handle:
+            handle.write(frame_record(b"\xffnot a codec value"))
+        reopened = FileStorage(directory)
+        assert reopened.retrieve("k", default="fallback") == "fallback"
+        assert reopened.metrics.quarantined == 1
+        assert [key for key, _ in reopened.recovery_report] == ["k"]
+        assert "k" not in list(reopened.keys())
+        assert len(os.listdir(os.path.join(directory, "quarantine"))) == 1
 
     def test_quarantined_records_are_preserved_for_forensics(self, tmp_path):
         directory = str(tmp_path / "store")

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.storage import codec
 from repro.storage.file import (FileStorage, _JOURNAL_NAME, frame_record)
 
 
@@ -54,6 +55,35 @@ class TestBatching:
         assert calls["n"] >= 10
         assert classic.group_commits == 0
         assert not os.path.exists(str(tmp_path / _JOURNAL_NAME))
+
+    def test_each_value_encoded_once_per_commit(self, storage,
+                                                monkeypatch):
+        """The journal record and the per-key file share one encoding
+        of the value; only the small journal envelope is encoded
+        separately, around the value's bytes."""
+        values = [{"probe": index, "body": "x" * 40} for index in range(4)]
+        encoded = []
+        real_encode = codec.encode
+
+        def spy(value):
+            encoded.append(value)
+            return real_encode(value)
+
+        def mentions(item, value):
+            if isinstance(item, (list, tuple)):
+                return any(mentions(part, value) for part in item)
+            return item == value
+
+        monkeypatch.setattr(codec, "encode", spy)
+        with storage.write_barrier():
+            for index, value in enumerate(values):
+                storage.log(("probe", index), value)
+        for value in values:
+            assert sum(mentions(item, value) for item in encoded) == 1
+        monkeypatch.undo()
+        reopened = FileStorage(storage.directory, group_commit=True)
+        for index, value in enumerate(values):
+            assert reopened.retrieve(("probe", index)) == value
 
     def test_read_your_writes_inside_barrier(self, storage):
         storage.log("outside", 1)
@@ -105,7 +135,22 @@ class TestCrashRecovery:
             storage.log("a", 1)
         journal = os.path.join(str(tmp_path), _JOURNAL_NAME)
         with open(journal, "ab") as handle:
-            handle.write(frame_record('["w", "b", 2]')[:-3])  # torn write
+            torn = frame_record(codec.encode(("w", "b", codec.encode(2))))
+            handle.write(torn[:-3])
+        reopened = FileStorage(str(tmp_path), group_commit=True)
+        assert reopened.retrieve("a") == 1
+        assert reopened.retrieve("b") is None
+
+    def test_undecodable_journal_record_ends_replay_like_a_tear(
+            self, tmp_path):
+        storage = FileStorage(str(tmp_path), group_commit=True)
+        with storage.write_barrier():
+            storage.log("a", 1)
+        journal = os.path.join(str(tmp_path), _JOURNAL_NAME)
+        with open(journal, "ab") as handle:
+            handle.write(frame_record(b"\xffnot a codec value"))
+            handle.write(frame_record(
+                codec.encode(("w", "b", codec.encode(2)))))
         reopened = FileStorage(str(tmp_path), group_commit=True)
         assert reopened.retrieve("a") == 1
         assert reopened.retrieve("b") is None

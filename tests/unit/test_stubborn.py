@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.runtime import Node, NodeComponent
 from repro.runtime import wire
@@ -11,8 +13,8 @@ from repro.sim.kernel import Simulator
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import NetworkConfig
-from repro.transport.stubborn import (StubbornChannel, StubbornConfig,
-                                      StubbornData)
+from repro.transport.stubborn import (StubbornBatch, StubbornChannel,
+                                      StubbornConfig, StubbornData)
 
 
 class Note(WireMessage):
@@ -369,6 +371,66 @@ class TestCoalescing:
             StubbornConfig(flush_delay=-1.0)
         with pytest.raises(ValueError):
             StubbornConfig(max_batch=0)
+
+
+class TestOversizeBatch:
+    """A full stub.batch can outgrow one UDP datagram (64 entries of
+    ~1.1 kB each is ~70 kB against the 65507-byte limit): the link must
+    split it until every part fits, not let the medium's oversize error
+    kill the flush."""
+
+    def test_oversize_batch_splits_and_delivers_everything(self):
+        from repro.runtime.live import LiveRuntime
+        from repro.runtime.live_net import LiveNetwork
+
+        runtime = LiveRuntime(seed=11)
+        network = LiveNetwork(runtime)
+        channel = StubbornChannel(
+            runtime, network, StubbornConfig(coalesce=True, window=64),
+            rng=random.Random(3))
+        got = []
+        nodes = [Node(runtime, i, MemoryStorage()) for i in (0, 1)]
+        for node in nodes:
+            channel.register(node)
+            node.register_handler(
+                Note.type, lambda m, s: got.append(m.text[:4]))
+        for node in nodes:
+            node.start()
+        runtime.loop.run_until_complete(network.open_all())
+        try:
+            for index in range(64):
+                channel.send(0, 1, Note(f"{index:04d}" + "x" * 1100))
+            runtime.run_for(0.5)
+            runtime.check_errors()
+            assert set(got) == {f"{index:04d}" for index in range(64)}
+            assert channel.link(0).in_flight(1) == 0
+            assert channel.metrics.acks_received == 64
+            assert channel.metrics.batched_entries == 64
+            assert channel.metrics.batches_sent >= 2
+            assert network.oversize_drops >= 1
+        finally:
+            network.close_all()
+            runtime.close()
+
+    def test_single_oversize_entry_still_raises(self, sim):
+        from repro.errors import OversizeDatagramError
+
+        class RefusingMedium(LossyMedium):
+            def send(self, src, dst, message):
+                if message.type == StubbornBatch.type and message.entries:
+                    raise OversizeDatagramError(message.type, 70000, 65507)
+                super().send(src, dst, message)
+
+        inner = RefusingMedium(sim)
+        channel = StubbornChannel(sim, inner, StubbornConfig(coalesce=True),
+                                  rng=random.Random(7))
+        for i in (0, 1):
+            node = Node(sim, i, MemoryStorage())
+            channel.register(node)
+            node.start()
+        channel.send(0, 1, Note("huge"))
+        with pytest.raises(OversizeDatagramError):
+            sim.run(until=sim.now + 0.01)
 
 
 class TestClusterIntegration:

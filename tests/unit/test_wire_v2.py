@@ -1,10 +1,10 @@
-"""Unit tests for the v2 binary wire format.
+"""Unit tests for the binary wire format.
 
-The cross-version fuzz properties live in
-tests/property/test_wire_fuzz_properties.py; here we pin the frame
-layout itself (header fields, type-id table, JSON tunnel, datagram
-concatenation, version negotiation) and the registry-cache fix that
-makes unknown-tag lookups O(1).
+The fuzz properties live in tests/property/test_wire_fuzz_properties.py
+and the byte-exact golden frames in tests/unit/test_wire_golden.py; here
+we pin the frame layout itself (header fields, type-id table, datagram
+concatenation, rejection of unregistered types and foreign versions)
+and the registry-cache fix that makes unknown-tag lookups O(1).
 """
 
 from __future__ import annotations
@@ -15,15 +15,15 @@ from repro.core.ids import MessageId
 from repro.core.messages import AppMessage, GossipMessage
 from repro.runtime import wire
 from repro.runtime.wire import (HEADER, MAGIC, TYPE_ID_TABLE, WireCodecError,
-                                WireConfig, decode, decode_datagram, encode,
-                                encode_frame, register_type_id, type_id_for)
+                                decode_datagram, encode_frame,
+                                register_type_id, type_id_for)
 from repro.transport.message import WireMessage
 
 
-class Tunnelled(WireMessage):
-    """A message class with no registered type-id: v2 must tunnel it."""
+class Unregistered(WireMessage):
+    """A message class with no registered type-id."""
 
-    type = "test.wirev2.tunnelled"
+    type = "test.wirev2.unregistered"
     fields = ("blob",)
 
     def __init__(self, blob):
@@ -48,25 +48,20 @@ class TestFrameLayout:
         assert type_id == TYPE_ID_TABLE["ab.gossip"]
         assert length == len(frame) - HEADER.size
 
-    def test_version_negotiation_by_first_byte(self):
-        """v1 datagrams start with ``{``; v2 with the magic's first byte.
-        The decoder accepts both regardless of the local default."""
-        v1 = encode(3, gossip(), version=1)
-        v2 = encode(3, gossip(), version=2)
-        assert v1[0] == ord("{")
-        assert v2[0] == (MAGIC >> 8)
-        for data in (v1, v2):
-            sender, message = decode(data)
-            assert sender == 3
-            assert isinstance(message, GossipMessage)
+    def test_foreign_version_rejected(self):
+        frame = bytearray(encode_frame(3, gossip()))
+        frame[2] = 1  # the version byte
+        with pytest.raises(WireCodecError, match="version"):
+            decode_datagram(bytes(frame))
 
-    def test_both_versions_decode_identically(self):
-        message = gossip()
-        for version in (1, 2):
-            sender, got = decode(encode(9, message, version=version))
-            assert sender == 9
-            assert (got.k, got.ckpt_k) == (message.k, message.ckpt_k)
-            assert got.unordered == message.unordered
+    def test_unregistered_type_rejected_at_encode(self):
+        assert type_id_for(Unregistered.type) is None
+        with pytest.raises(WireCodecError, match="type id"):
+            encode_frame(6, Unregistered({"k": [1, 2]}))
+
+    def test_sender_outside_header_rejected_at_encode(self):
+        with pytest.raises(WireCodecError):
+            encode_frame(2 ** 32, gossip())
 
     def test_frames_concatenate_into_one_datagram(self):
         datagram = encode_frame(0, gossip()) + encode_frame(1, gossip())
@@ -90,31 +85,11 @@ class TestFrameLayout:
             decode_datagram(bytes(frame[:-3]))  # shorter than declared
 
 
-class TestJsonTunnel:
-    def test_unregistered_class_tunnels_and_round_trips(self):
-        assert type_id_for(Tunnelled.type) is None
-        frame = encode_frame(6, Tunnelled({"k": [1, 2]}))
-        _, _, sender, type_id, _ = HEADER.unpack_from(frame)
-        # Tunnel frames zero the header sender; the real sender rides in
-        # the JSON payload (it may exceed the header's u32 field).
-        assert (sender, type_id) == (0, 0)
-        got_sender, got = decode(frame)
-        assert got_sender == 6
-        assert isinstance(got, Tunnelled)
-        assert got.blob == {"k": [1, 2]}
-
-    def test_tunnelled_frame_coalesces_with_typed_frames(self):
-        datagram = encode_frame(1, gossip()) + \
-            encode_frame(2, Tunnelled("x")) + encode_frame(3, gossip())
-        kinds = [type(m).__name__ for _, m in decode_datagram(datagram)]
-        assert kinds == ["GossipMessage", "Tunnelled", "GossipMessage"]
-
-
 class TestTypeIdTable:
     def test_ids_unique_positive_16bit(self):
         ids = list(TYPE_ID_TABLE.values())
         assert len(ids) == len(set(ids))
-        assert all(0 < i < 0x10000 for i in ids)  # 0 = JSON tunnel
+        assert all(0 < i < 0x10000 for i in ids)
 
     def test_register_rejects_conflicts(self):
         with pytest.raises(WireCodecError):
@@ -128,25 +103,6 @@ class TestTypeIdTable:
 
     def test_reregistering_same_pair_is_noop(self):
         register_type_id("ab.gossip", TYPE_ID_TABLE["ab.gossip"])
-
-
-class TestWireConfigValidation:
-    def test_bad_version_rejected(self):
-        with pytest.raises(WireCodecError):
-            WireConfig(version=3)
-
-    def test_frame_bound_must_fit_datagram_bound(self):
-        with pytest.raises(WireCodecError):
-            WireConfig(max_frame_bytes=70000, max_datagram_bytes=65507)
-        with pytest.raises(WireCodecError):
-            WireConfig(max_frame_bytes=0)
-        with pytest.raises(WireCodecError):
-            WireConfig(flush_delay=-0.5)
-
-    def test_coalesce_defaults_follow_version(self):
-        assert WireConfig(version=2).coalesce is True
-        assert WireConfig(version=1).coalesce is False
-        assert WireConfig(version=2, coalesce=False).coalesce is False
 
 
 class TestRegistryCache:
