@@ -4,9 +4,9 @@
 Runs the frozen scenario matrix of :mod:`repro.perf.matrix` and records
 one ``BENCH_<label>.json`` trajectory point at the repo root.
 
-    # full matrix, run twice (determinism metrics must be bit-identical),
-    # plus the storage before/after comparison; writes BENCH_PR5.json
-    PYTHONPATH=src python benchmarks/perf_trajectory.py --label PR5
+    # full matrix, run twice (determinism metrics must be bit-identical);
+    # writes BENCH_<LABEL>.json
+    PYTHONPATH=src python benchmarks/perf_trajectory.py --label LABEL
 
     # CI drift gate: smallest cell only, checked against the committed
     # baseline; exits 1 on any determinism-metric drift
@@ -23,12 +23,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.perf.harness import (compare_determinism,
-                                measure_storage_comparison, run_matrix)
+from repro.perf.harness import compare_determinism, run_matrix
 from repro.perf.matrix import (default_matrix, overload_cell, scaled_cells,
                                smallest_cell)
 from repro.perf.trajectory import (baseline_determinism, build_document,
-                                   format_comparison_table,
                                    format_matrix_table,
                                    format_trajectory_table,
                                    load_documents, summarize_drift,
@@ -53,8 +51,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", default=None,
                         help="BENCH file to diff determinism metrics "
                              "against; exit 1 on drift")
-    parser.add_argument("--no-compare", action="store_true",
-                        help="skip the storage before/after comparison")
     parser.add_argument("--overload", action="store_true",
                         help="append the admission-control cell to the "
                              "run (its flow_* metrics exist only there; "
@@ -109,11 +105,6 @@ def main(argv=None) -> int:
               f"bit-identical")
     print(format_matrix_table(results))
 
-    comparison = None
-    if not args.no_compare and not args.smoke:
-        comparison = measure_storage_comparison()
-        print(format_comparison_table(comparison))
-
     exit_code = 0
     if args.check is not None:
         import json
@@ -130,7 +121,7 @@ def main(argv=None) -> int:
         output = f"BENCH_{args.label}.json"
     if output is not None:
         label = args.label or "unlabelled"
-        write_document(build_document(label, results, comparison), output)
+        write_document(build_document(label, results), output)
         print(f"wrote {output}")
     return exit_code
 

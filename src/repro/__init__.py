@@ -29,7 +29,7 @@ from repro.core import (AlternativeAtomicBroadcast, AlternativeConfig,
 from repro.harness import (Cluster, ClusterConfig, Scenario, ScenarioResult,
                            run_scenario, verify_run)
 from repro.runtime import SeedSequence, Simulator
-from repro.sim import FaultSchedule, RandomFaults
+from repro.sim.faults import FaultSchedule, RandomFaults
 from repro.transport import NetworkConfig
 
 __version__ = "1.0.0"

@@ -18,8 +18,7 @@ contract, and that decision belongs in one audited place, not scattered
 per-line (docs/ANALYSIS.md, "Scope configuration").
 
 Sanctioned escape hatches (a seeded ``random.Random`` at the simulation
-boundary, the soft real-time pacer's injected wall clock) carry a
-``# repro: noqa(DET...)`` with a justification.
+boundary) carry a ``# repro: noqa(DET...)`` with a justification.
 """
 
 from __future__ import annotations
@@ -189,7 +188,7 @@ class GlobalRandomRule(Rule):
     rationale = ("Draws on the global Mersenne Twister couple unrelated "
                  "subsystems and are perturbed by any third-party import; "
                  "the only sanctioned randomness is a named stream from "
-                 "SeedSequence.stream() (repro.sim.rng).  Even a seeded "
+                 "SeedSequence.stream() (repro.runtime.rng).  Even a seeded "
                  "random.Random(...) construction must be justified with "
                  "a noqa: it is the seed boundary.")
     scope = DETERMINISTIC_SCOPE

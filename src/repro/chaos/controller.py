@@ -117,6 +117,19 @@ class _BaseController:
         self.record(ChaosEvent(self.now, "submit", node=target,
                                payload=event.args["payload"]))
 
+    # Both media take loss from the same NetworkConfig.
+
+    def _apply_loss(self, event: ChaosEvent) -> None:
+        self.cluster.network.config.loss_rate = event.args["rate"]
+        self.record(event)
+
+    def _apply_loss_restore(self, event: ChaosEvent) -> None:
+        self._restore_base_loss()
+        self.record(event)
+
+    def _restore_base_loss(self) -> None:
+        self.cluster.network.config.loss_rate = self.base_loss
+
     # Membership churn (shared: both harnesses expose the same
     # add_node/submit_reconfig/current_view surface; only the crash that
     # accompanies an eviction is runtime-specific and goes through the
@@ -238,14 +251,6 @@ class SimChaosController(_BaseController):
         self.cluster.network.heal_all()
         self.record(event)
 
-    def _apply_loss(self, event: ChaosEvent) -> None:
-        self.cluster.network.config.loss_rate = event.args["rate"]
-        self.record(event)
-
-    def _apply_loss_restore(self, event: ChaosEvent) -> None:
-        self.cluster.network.config.loss_rate = self.base_loss
-        self.record(event)
-
     def _apply_torn_write(self, event: ChaosEvent) -> None:
         storage = self.cluster.nodes[event.node].storage
         if not isinstance(storage, FaultyStorage):
@@ -291,7 +296,7 @@ class SimChaosController(_BaseController):
                 node.storage.disarm()  # also heals a limping disk
         self.cluster.network.heal_all()
         self.cluster.network.clear_node_delays()
-        self.cluster.network.config.loss_rate = self.base_loss
+        self._restore_base_loss()
         self.advance(self.now + 0.5)  # drain armed faults' last writes
         for node in self.cluster.nodes.values():
             if not node.up:
@@ -343,14 +348,6 @@ class LiveChaosController(_BaseController):
             self.cluster.restart(event.node)
             self.record(event)
 
-    def _apply_loss(self, event: ChaosEvent) -> None:
-        self.cluster.network.loss_rate = event.args["rate"]
-        self.record(event)
-
-    def _apply_loss_restore(self, event: ChaosEvent) -> None:
-        self.cluster.network.loss_rate = self.base_loss
-        self.record(event)
-
     def _apply_clock_jump(self, event: ChaosEvent) -> None:
         self.cluster.runtime.jump_clock(event.args["delta"])
         self.record(event)
@@ -358,7 +355,7 @@ class LiveChaosController(_BaseController):
     # -- finish ---------------------------------------------------------------
 
     def finish(self, settle_limit: float) -> VerificationReport:
-        self.cluster.network.loss_rate = self.base_loss
+        self._restore_base_loss()
         for node_id, node in sorted(self.cluster.nodes.items()):
             if not node.up:
                 self.cluster.restart(node_id)

@@ -70,8 +70,7 @@ class LiveCluster:
         self.network = LiveNetwork(
             self.runtime,
             self.runtime.rng("network"),
-            loss_rate=config.network.loss_rate,
-            duplicate_rate=config.network.duplicate_rate,
+            config.network,
             max_send_buffer=(config.flow.max_send_buffer
                              if config.flow is not None else None))
         # UDP is a real fair-loss channel, so the stubborn retransmission

@@ -18,13 +18,10 @@ re-runs the smallest cell and fails on determinism drift against the
 committed baseline.
 """
 
-from repro.perf.harness import (CellResult, compare_determinism,
-                                measure_storage_comparison, run_cell,
+from repro.perf.harness import (CellResult, compare_determinism, run_cell,
                                 run_matrix)
-from repro.perf.matrix import (PerfCell, default_matrix, smallest_cell,
-                               storage_comparison_cell)
-from repro.perf.trajectory import (build_document, format_comparison_table,
-                                   format_matrix_table,
+from repro.perf.matrix import PerfCell, default_matrix, smallest_cell
+from repro.perf.trajectory import (build_document, format_matrix_table,
                                    format_trajectory_table, load_documents,
                                    write_document)
 
@@ -34,14 +31,11 @@ __all__ = [
     "build_document",
     "compare_determinism",
     "default_matrix",
-    "format_comparison_table",
     "format_matrix_table",
     "format_trajectory_table",
     "load_documents",
-    "measure_storage_comparison",
     "run_cell",
     "run_matrix",
     "smallest_cell",
-    "storage_comparison_cell",
     "write_document",
 ]

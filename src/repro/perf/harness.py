@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import resource
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.errors import VerificationError
 from repro.harness.scenario import run_scenario
-from repro.perf.matrix import PerfCell, storage_comparison_cell
+from repro.perf.matrix import PerfCell
 
-__all__ = ["CellResult", "run_cell", "run_matrix", "compare_determinism",
-           "measure_storage_comparison"]
+__all__ = ["CellResult", "run_cell", "run_matrix", "compare_determinism"]
 
 
 class CellResult:
@@ -45,7 +44,7 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def run_cell(cell: PerfCell, isolation: str = "snapshot") -> CellResult:
+def run_cell(cell: PerfCell) -> CellResult:
     """Run one cell and measure it.
 
     Raises :class:`~repro.errors.VerificationError` if the run fails the
@@ -53,7 +52,7 @@ def run_cell(cell: PerfCell, isolation: str = "snapshot") -> CellResult:
     from an incorrect execution.
     """
     start = time.perf_counter()
-    result = run_scenario(cell.scenario(isolation=isolation))
+    result = run_scenario(cell.scenario())
     wall_seconds = time.perf_counter() - start
     if result.report is None:  # pragma: no cover - verify is always on
         raise VerificationError(f"cell {cell.name} ran unverified")
@@ -87,10 +86,9 @@ def run_cell(cell: PerfCell, isolation: str = "snapshot") -> CellResult:
     return CellResult(cell, determinism, wall)
 
 
-def run_matrix(cells: Iterable[PerfCell],
-               isolation: str = "snapshot") -> List[CellResult]:
+def run_matrix(cells: Iterable[PerfCell]) -> List[CellResult]:
     """Run every cell, in matrix order."""
-    return [run_cell(cell, isolation=isolation) for cell in cells]
+    return [run_cell(cell) for cell in cells]
 
 
 def compare_determinism(baseline: Dict[str, Dict[str, int]],
@@ -116,41 +114,3 @@ def compare_determinism(baseline: Dict[str, Dict[str, int]],
                 drifts.append(
                     f"{name}: {key} = {actual}, baseline has {want}")
     return drifts
-
-
-def measure_storage_comparison(repeats: int = 3) -> Dict[str, Any]:
-    """Before/after measurement of the MemoryStorage isolation rework.
-
-    Runs the E6-batching workload cell under the legacy
-    ``deepcopy``-per-operation isolation and the snapshot isolation,
-    ``repeats`` times each, keeping the best wall time per mode (the
-    usual way to beat scheduler noise).  Determinism metrics must be
-    identical between modes — the optimisation swaps copies, not
-    behaviour — and that is asserted here, not assumed.
-    """
-    cell = storage_comparison_cell()
-    modes: Dict[str, CellResult] = {}
-    for isolation in ("deepcopy", "snapshot"):
-        best: Optional[CellResult] = None
-        for _ in range(repeats):
-            result = run_cell(cell, isolation=isolation)
-            if best is None or (result.wall["wall_seconds"]
-                                < best.wall["wall_seconds"]):
-                best = result
-        assert best is not None
-        modes[isolation] = best
-    if modes["deepcopy"].determinism != modes["snapshot"].determinism:
-        raise VerificationError(
-            "storage isolation modes diverged on determinism metrics: "
-            f"{modes['deepcopy'].determinism} != "
-            f"{modes['snapshot'].determinism}")
-    before = modes["deepcopy"].wall
-    after = modes["snapshot"].wall
-    return {
-        "cell": cell.params(),
-        "determinism": modes["snapshot"].determinism,
-        "before": dict(before),
-        "after": dict(after),
-        "speedup_deliveries_per_sec": round(
-            after["deliveries_per_sec"] / before["deliveries_per_sec"], 2),
-    }

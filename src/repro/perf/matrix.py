@@ -17,12 +17,11 @@ from repro.flow.controller import FlowConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.scenario import Scenario
 from repro.sim.faults import RandomFaults
-from repro.storage.memory import MemoryStorage
 from repro.transport.network import NetworkConfig
 from repro.workloads.generators import PoissonWorkload
 
 __all__ = ["PerfCell", "default_matrix", "overload_cell", "scaled_cells",
-           "smallest_cell", "storage_comparison_cell"]
+           "smallest_cell"]
 
 # One fixed seed root for the whole matrix; per-cell seeds derive from
 # the cell's position so cells stay independent but reproducible.
@@ -84,9 +83,8 @@ class PerfCell:
             }
         return params
 
-    def scenario(self, isolation: str = "snapshot") -> Scenario:
-        """Build the cell's scenario (``isolation`` picks the
-        MemoryStorage copy strategy, for before/after comparisons)."""
+    def scenario(self) -> Scenario:
+        """Build the cell's scenario."""
         alt = None
         if self.protocol == "alternative":
             alt = AlternativeConfig(checkpoint_interval=2.0)
@@ -102,8 +100,6 @@ class PerfCell:
                 n=self.n, seed=self.seed, protocol=self.protocol,
                 network=NetworkConfig(loss_rate=self.loss_rate),
                 alt=alt,
-                storage_factory=lambda node_id: MemoryStorage(
-                    isolation=isolation),
                 flow=self.flow),
             workload=PoissonWorkload(self.rate_per_node,
                                      self.workload_duration,
@@ -156,12 +152,3 @@ def scaled_cells() -> List[PerfCell]:
                  rate_per_node=60.0, workload_duration=8.0, duration=12.0,
                  settle_limit=240.0, suffix="-rate10x"),
     ]
-
-
-def storage_comparison_cell() -> PerfCell:
-    """The E6-batching workload cell used for the storage before/after
-    table (high offered load into the alternative protocol, the
-    configuration whose Unordered/checkpoint logging hammers storage)."""
-    return PerfCell("alternative", 3, 0.02, chaos=False, seed=11,
-                    rate_per_node=24.0, workload_duration=12.0,
-                    duration=16.0, settle_limit=200.0)

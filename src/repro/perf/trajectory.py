@@ -14,21 +14,20 @@ import json
 import os
 import platform
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.harness.report import format_table
 from repro.perf.harness import CellResult
 
 __all__ = ["build_document", "write_document", "load_documents",
            "baseline_determinism", "format_matrix_table",
-           "format_comparison_table", "format_trajectory_table",
+           "format_trajectory_table",
            "summarize_drift"]
 
 SCHEMA = 1
 
 
-def build_document(label: str, results: Iterable[CellResult],
-                   storage_comparison: Optional[Dict[str, Any]] = None
+def build_document(label: str, results: Iterable[CellResult]
                    ) -> Dict[str, Any]:
     """Assemble one trajectory point."""
     document: Dict[str, Any] = {
@@ -40,8 +39,6 @@ def build_document(label: str, results: Iterable[CellResult],
         "matrix": {result.cell.name: result.to_plain()
                    for result in results},
     }
-    if storage_comparison is not None:
-        document["storage_comparison"] = storage_comparison
     return document
 
 
@@ -86,22 +83,6 @@ def format_matrix_table(results: Iterable[CellResult]) -> str:
         rows,
         note="events/log ops/bytes/delivered are seed-deterministic and "
              "must be bit-identical across runs; the rest is hardware")
-
-
-def format_comparison_table(comparison: Dict[str, Any]) -> str:
-    rows = []
-    for mode, key in (("deepcopy (before)", "before"),
-                      ("snapshot (after)", "after")):
-        wall = comparison[key]
-        rows.append([mode, wall["wall_seconds"], wall["deliveries_per_sec"],
-                     wall["events_per_sec"]])
-    speedup = comparison["speedup_deliveries_per_sec"]
-    return format_table(
-        "MemoryStorage isolation: E6 batching workload, before/after",
-        ["mode", "wall s", "deliveries/s", "events/s"],
-        rows,
-        note=f"speedup: {speedup}x deliveries/sec (identical determinism "
-             f"metrics in both modes)")
 
 
 def format_trajectory_table(documents: List[Dict[str, Any]],

@@ -1,9 +1,10 @@
 """Localhost UDP transport for the live runtime.
 
 :class:`LiveNetwork` gives every node its own UDP socket bound to an
-ephemeral port on 127.0.0.1 and implements the same fair-loss channel
-contract as the simulated :class:`~repro.transport.network.Network`
-(the :class:`~repro.runtime.api.TransportMedium` protocol), so the
+ephemeral port on 127.0.0.1 and shares the simulated
+:class:`~repro.transport.network.Network`'s fair-loss policy
+(:class:`~repro.transport.network.FairLossMedium`, one implementation of
+the :class:`~repro.runtime.api.TransportMedium` protocol), so the
 transport :class:`~repro.transport.endpoint.Endpoint` stacks on it
 unchanged:
 
@@ -44,10 +45,9 @@ from typing import Dict, Optional, Tuple
 from repro.errors import OversizeDatagramError, SimulationError
 from repro.runtime import wire
 from repro.runtime.live import LiveRuntime
-from repro.runtime.node import Node
-from repro.sizing import estimate_size
+from repro.sizing import estimate_size  # noqa: F401 -- a perf-tracer patch target
 from repro.transport.message import WireMessage
-from repro.transport.network import NetworkMetrics
+from repro.transport.network import FairLossMedium, NetworkConfig
 
 __all__ = ["LiveNetwork", "MAX_DATAGRAM_BYTES"]
 
@@ -70,8 +70,12 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         self.network.metrics.lost += 1
 
 
-class LiveNetwork:
+class LiveNetwork(FairLossMedium):
     """The UDP medium connecting the nodes of a live cluster.
+
+    The channel policy (loss and duplicate draws, loopback, counters)
+    is :class:`~repro.transport.network.FairLossMedium`'s; this class
+    only carries what survives it as one datagram.
 
     Parameters
     ----------
@@ -79,11 +83,11 @@ class LiveNetwork:
         The owning :class:`LiveRuntime` (sockets attach to its loop).
     rng:
         Seeded stream for the injected loss/duplication draws
-        (``runtime.rng("network")`` by convention).
-    loss_rate, duplicate_rate:
-        Injected Bernoulli drop/duplicate probabilities on top of
-        whatever the real network does.  ``loss_rate`` must stay < 1 to
-        preserve fair loss.
+        (``runtime.rng("network")`` when omitted).
+    config:
+        Its ``loss_rate``/``duplicate_rate`` are injected on top of
+        whatever the real network does; the delay bounds are unused
+        (delays are real).
     max_send_buffer:
         Byte bound on a sender socket's kernel write buffer.  When the
         buffer is over the bound the datagram is dropped and counted
@@ -92,20 +96,14 @@ class LiveNetwork:
         (default) disables the bound.
     """
 
+    runtime: LiveRuntime
+
     def __init__(self, runtime: LiveRuntime,
                  rng: Optional[random.Random] = None,
-                 loss_rate: float = 0.0,
-                 duplicate_rate: float = 0.0,
+                 config: Optional[NetworkConfig] = None,
                  max_send_buffer: Optional[int] = None) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise SimulationError(
-                f"loss_rate {loss_rate} breaks the fair-loss assumption")
-        if not 0.0 <= duplicate_rate <= 1.0:
-            raise SimulationError(f"bad duplicate_rate {duplicate_rate}")
-        self.runtime = runtime
-        self.rng = rng if rng is not None else runtime.rng("network")
-        self.loss_rate = loss_rate
-        self.duplicate_rate = duplicate_rate
+        super().__init__(runtime, rng if rng is not None
+                         else runtime.rng("network"), config)
         if max_send_buffer is not None and max_send_buffer < 1:
             raise SimulationError(f"bad max_send_buffer {max_send_buffer}")
         self.max_send_buffer = max_send_buffer
@@ -115,22 +113,8 @@ class LiveNetwork:
         self.oversize_drops = 0
         self.datagrams_sent = 0
         self.wire_bytes_sent = 0   # actual encoded bytes through sendto
-        self.nodes: Dict[int, Node] = {}
         self.ports: Dict[int, int] = {}
-        self.metrics = NetworkMetrics()
         self._transports: Dict[int, asyncio.DatagramTransport] = {}
-
-    # -- topology -----------------------------------------------------------
-
-    def register(self, node: Node) -> None:
-        """Attach a node to the medium (its socket opens in :meth:`open`)."""
-        if node.node_id in self.nodes:
-            raise SimulationError(f"node {node.node_id} already registered")
-        self.nodes[node.node_id] = node
-
-    def node_ids(self) -> Tuple[int, ...]:
-        """All registered node ids, sorted."""
-        return tuple(sorted(self.nodes))
 
     # -- socket lifecycle ---------------------------------------------------
 
@@ -164,37 +148,15 @@ class LiveNetwork:
         for node_id in list(self._transports):
             self.close(node_id)
 
-    # -- sending ------------------------------------------------------------
+    # -- internals ----------------------------------------------------------
 
-    def send(self, src: int, dst: int, message: WireMessage) -> None:
-        """Inject one message from ``src`` to ``dst``.
-
-        Injected loss and duplication are decided at send time with
-        independent seeded draws; real UDP may add its own loss,
-        reordering and (in principle) duplication on top.
+    def _carry(self, src: int, dst: int, message: WireMessage) -> None:
+        """Encode one frame and hand it to the socket.
 
         Raises :class:`OversizeDatagramError` (after counting the drop)
         when the encoded message cannot fit one datagram — fragmenting
         is a layer this transport deliberately does not have.
         """
-        if dst not in self.nodes:
-            raise SimulationError(f"unknown destination {dst}")
-        self.metrics.sent += 1
-        self.metrics.bytes_sent += estimate_size(message)
-        self.metrics.by_type[message.type] = \
-            self.metrics.by_type.get(message.type, 0) + 1
-
-        if src == dst:
-            # Loopback: reliable, in-process, never serialised.
-            self.runtime.call_soon(self._deliver, src, dst, message)
-            return
-        if self.loss_rate and self.rng.random() < self.loss_rate:
-            self.metrics.lost += 1
-            return
-        duplicated = bool(self.duplicate_rate
-                          and self.rng.random() < self.duplicate_rate)
-        if duplicated:
-            self.metrics.duplicated += 1
         data = wire.encode_frame(src, message)
         if len(data) > MAX_DATAGRAM_BYTES:
             self.oversize_drops += 1
@@ -202,25 +164,6 @@ class LiveNetwork:
             raise OversizeDatagramError(message.type, len(data),
                                         MAX_DATAGRAM_BYTES)
         self._transmit(src, dst, data)
-        if duplicated:
-            self._transmit(src, dst, data)
-
-    def multisend(self, src: int, message: WireMessage,
-                  targets: Optional[Tuple[int, ...]] = None) -> None:
-        """The paper's ``multisend`` macro: send to every process,
-        including the sender itself (Section 3.1, footnote 2).
-
-        ``targets`` restricts the send to a view's member set; ids with
-        no socket yet are skipped (their stack is still being built)."""
-        if targets is None:
-            for dst in self.nodes:
-                self.send(src, dst, message)
-            return
-        for dst in targets:
-            if dst in self.nodes:
-                self.send(src, dst, message)
-
-    # -- internals ----------------------------------------------------------
 
     def _transmit(self, src: int, dst: int, data: bytes) -> None:
         transport = self._transports.get(src)
@@ -253,13 +196,3 @@ class LiveNetwork:
             return
         for src, message in arrivals:
             self._deliver(src, dst, message)
-
-    def _deliver(self, src: int, dst: int, message: WireMessage) -> None:
-        node = self.nodes.get(dst)
-        if node is None:
-            self.metrics.dropped_down += 1
-            return
-        if node.deliver(message, src):
-            self.metrics.delivered += 1
-        else:
-            self.metrics.dropped_down += 1

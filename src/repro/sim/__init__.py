@@ -1,45 +1,11 @@
-"""Deterministic discrete-event simulation substrate.
+"""Simulation-only fault injection front-ends.
 
-Compatibility façade: the kernel, process model, tracer and RNG streams
-now live in :mod:`repro.runtime` (shared with the live asyncio/UDP
-runtime — see docs/RUNTIME.md); this package re-exports them alongside
-the simulation-only pieces.
-
-Public surface:
-
-* :class:`~repro.runtime.Simulator` (= ``SimRuntime``),
-  :class:`~repro.runtime.Task`, :class:`~repro.runtime.Event`,
-  :class:`~repro.runtime.Signal` — the virtual-time kernel.
-* :class:`~repro.runtime.Node`, :class:`~repro.runtime.NodeComponent` —
-  the crash-recovery process model.
-* :class:`~repro.sim.faults.FaultSchedule`,
-  :class:`~repro.sim.faults.RandomFaults` — fault injection.
-* :class:`~repro.runtime.SeedSequence` — named seeded randomness.
-* :class:`~repro.sim.realtime.RealTimeRunner` — soft real-time pacing of
-  a simulated run.
+The virtual-time kernel, process model, tracer and seeded streams live
+in :mod:`repro.runtime` (shared with the live asyncio/UDP runtime — see
+docs/RUNTIME.md).  This package keeps :mod:`repro.sim.faults`: the
+hand-written crash/recover and partition schedules
+(:class:`~repro.sim.faults.FaultSchedule`,
+:class:`~repro.sim.faults.PartitionSchedule`) and seeded random
+crash-recovery (:class:`~repro.sim.faults.RandomFaults`) that tests,
+benchmarks and the CLI build scenarios from.
 """
-
-from repro.runtime import (AnyOf, Event, Node, NodeComponent, SeedSequence,
-                           Signal, Simulator, Task, Timer, TraceEvent, Tracer)
-from repro.sim.faults import (FaultEvent, FaultSchedule,
-                              PartitionSchedule, RandomFaults)
-from repro.sim.realtime import RealTimeRunner
-
-__all__ = [
-    "AnyOf",
-    "Event",
-    "FaultEvent",
-    "FaultSchedule",
-    "Node",
-    "NodeComponent",
-    "PartitionSchedule",
-    "RandomFaults",
-    "RealTimeRunner",
-    "SeedSequence",
-    "Signal",
-    "Simulator",
-    "Task",
-    "Timer",
-    "TraceEvent",
-    "Tracer",
-]

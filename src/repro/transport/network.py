@@ -1,12 +1,15 @@
-"""Simulated network: unreliable, fair, asynchronous channels.
+"""Fair-loss media: unreliable, fair, asynchronous channels.
 
-Models the transport assumptions of Section 3.1:
+:class:`FairLossMedium` models the transport assumptions of Section 3.1
+once, for both runtimes; :class:`Network` is the simulator's medium and
+:class:`~repro.runtime.live_net.LiveNetwork` the UDP one:
 
 * a bidirectional channel between every pair of processes;
 * channels are **not** FIFO (each message draws an independent delay);
 * channels may **lose** messages (probabilistically) and **duplicate**
   them;
-* transfer delays are finite but arbitrary (bounded random draws);
+* transfer delays are finite but arbitrary (bounded random draws in
+  the simulator, whatever the loopback interface does on UDP);
 * channels are **fair**: a message sent infinitely often is received
   infinitely often — guaranteed here because per-message loss is an
   independent Bernoulli draw with probability < 1 (outside explicit
@@ -20,6 +23,7 @@ delay: a process's loopback does not cross the network.
 
 from __future__ import annotations
 
+import math
 import random  # typing only: the Network *receives* a seeded stream
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
@@ -28,16 +32,17 @@ from repro.runtime import Node, Runtime
 from repro.sizing import estimate_size
 from repro.transport.message import WireMessage
 
-__all__ = ["NetworkConfig", "Network", "NetworkMetrics"]
+__all__ = ["FairLossMedium", "NetworkConfig", "Network", "NetworkMetrics"]
 
 
 class NetworkConfig:
-    """Tunables of the simulated network.
+    """Tunables of a fair-loss medium.
 
     Parameters
     ----------
     min_delay, max_delay:
-        Bounds of the uniform per-message delay draw (virtual time).
+        Finite bounds of the uniform per-message delay draw (virtual
+        time; the live medium has real delays and ignores them).
     loss_rate:
         Independent probability that a message is dropped in transit.
         Must be < 1 to preserve the fair-loss property.
@@ -57,7 +62,8 @@ class NetworkConfig:
                 f"loss_rate {loss_rate} breaks the fair-loss assumption")
         if not 0.0 <= duplicate_rate <= 1.0:
             raise SimulationError(f"bad duplicate_rate {duplicate_rate}")
-        if min_delay < 0 or max_delay < min_delay:
+        if not (math.isfinite(min_delay) and math.isfinite(max_delay)
+                and 0 <= min_delay <= max_delay):
             raise SimulationError(
                 f"bad delay bounds [{min_delay}, {max_delay}]")
         self.min_delay = min_delay
@@ -94,22 +100,30 @@ class NetworkMetrics:
         }
 
 
-class Network:
-    """The shared medium connecting every node of a simulation."""
+class FairLossMedium:
+    """The Section 3.1 channel policy, shared by every medium.
 
-    def __init__(self, sim: Runtime, rng: random.Random,
+    Owns the node table, the partition set, the metrics and the whole
+    send decision: unknown destination, accounting, loopback, partition,
+    seeded loss and duplication.  A subclass supplies only
+    :meth:`_carry`, which moves one copy of a message that survived the
+    policy (a scheduled delivery in the simulator, a datagram on the
+    live medium).
+
+    The draw order is loss, then :meth:`_carry`, then the duplicate
+    draw, then :meth:`_carry` again: the simulator's delay draws must
+    sit between the loss and duplicate draws for a seed to replay the
+    schedules recorded in the BENCH baselines.
+    """
+
+    def __init__(self, runtime: Runtime, rng: random.Random,
                  config: Optional[NetworkConfig] = None):
-        self.sim = sim
+        self.runtime = runtime
         self.rng = rng
         self.config = config or NetworkConfig()
         self.nodes: Dict[int, Node] = {}
         self.metrics = NetworkMetrics()
         self._partitions: Set[FrozenSet[int]] = set()
-        # Gray failure: constant extra delay on every message touching a
-        # limping node (either direction).  Added on top of the drawn
-        # delay with NO extra RNG draws, so an empty map leaves the
-        # event order of every existing seed untouched.
-        self._node_delays: Dict[int, float] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -141,57 +155,39 @@ class Network:
         """True if the a—b link is currently severed."""
         return frozenset((a, b)) in self._partitions
 
-    # -- gray failures (limping nodes) -----------------------------------------
-
-    def set_node_delay(self, node_id: int, extra: float) -> None:
-        """Make ``node_id`` limp: add ``extra`` to every delay draw on
-        messages it sends or receives (slow NIC / overloaded host)."""
-        if extra < 0:
-            raise SimulationError(f"negative limp delay {extra}")
-        self._node_delays[node_id] = extra
-
-    def clear_node_delay(self, node_id: int) -> None:
-        """Restore normal link latency for ``node_id``."""
-        self._node_delays.pop(node_id, None)
-
-    def clear_node_delays(self) -> None:
-        """Restore normal link latency everywhere (chaos settle phase)."""
-        self._node_delays.clear()
-
     # -- sending ------------------------------------------------------------------
 
     def send(self, src: int, dst: int, message: WireMessage) -> None:
         """Inject one message from ``src`` to ``dst``.
 
-        Loss, duplication and delay are decided at send time with
-        independent draws; a message addressed to a down node is silently
+        Loss and duplication are decided at send time with independent
+        seeded draws; a message addressed to a down node is silently
         dropped at delivery time.
         """
         if dst not in self.nodes:
             raise SimulationError(f"unknown destination {dst}")
-        self.metrics.sent += 1
-        self.metrics.bytes_sent += estimate_size(message)
-        self.metrics.by_type[message.type] = \
-            self.metrics.by_type.get(message.type, 0) + 1
+        metrics = self.metrics
+        metrics.sent += 1
+        metrics.bytes_sent += estimate_size(message)
+        metrics.by_type[message.type] = \
+            metrics.by_type.get(message.type, 0) + 1
 
         if src == dst:
-            # Loopback: reliable, immediate (within the same virtual time).
-            self.sim.call_soon(self._deliver, src, dst, message)
+            # Loopback: reliable, immediate, never crosses the medium.
+            self.runtime.call_soon(self._deliver, src, dst, message)
             return
-        if self.is_partitioned(src, dst):
-            self.metrics.lost += 1
+        if self._partitions and frozenset((src, dst)) in self._partitions:
+            metrics.lost += 1
             return
-        if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
-            self.metrics.lost += 1
+        config = self.config
+        if config.loss_rate and self.rng.random() < config.loss_rate:
+            metrics.lost += 1
             return
-        extra = self._node_delays.get(src, 0.0) + self._node_delays.get(dst, 0.0)
-        self.sim.schedule(self._draw_delay() + extra, self._deliver,
-                          src, dst, message)
-        if (self.config.duplicate_rate
-                and self.rng.random() < self.config.duplicate_rate):
-            self.metrics.duplicated += 1
-            self.sim.schedule(self._draw_delay() + extra, self._deliver,
-                              src, dst, message)
+        self._carry(src, dst, message)
+        if (config.duplicate_rate
+                and self.rng.random() < config.duplicate_rate):
+            metrics.duplicated += 1
+            self._carry(src, dst, message)
 
     def multisend(self, src: int, message: WireMessage,
                   targets: Optional[Tuple[int, ...]] = None) -> None:
@@ -211,7 +207,55 @@ class Network:
             if dst in self.nodes:
                 self.send(src, dst, message)
 
+    def _carry(self, src: int, dst: int, message: WireMessage) -> None:
+        """Move one copy of a message the channel policy let through."""
+        raise NotImplementedError
+
+    def _deliver(self, src: int, dst: int, message: WireMessage) -> None:
+        node = self.nodes.get(dst)
+        if node is not None and node.deliver(message, src):
+            self.metrics.delivered += 1
+        else:
+            self.metrics.dropped_down += 1
+
+
+class Network(FairLossMedium):
+    """The simulated medium connecting every node of a simulation."""
+
+    def __init__(self, sim: Runtime, rng: random.Random,
+                 config: Optional[NetworkConfig] = None):
+        super().__init__(sim, rng, config)
+        # Gray failure: constant extra delay on every message touching a
+        # limping node (either direction).  Added on top of the drawn
+        # delay with NO extra RNG draws, so an empty map leaves the
+        # event order of every existing seed untouched.
+        self._node_delays: Dict[int, float] = {}
+
+    # -- gray failures (limping nodes) -----------------------------------------
+
+    def set_node_delay(self, node_id: int, extra: float) -> None:
+        """Make ``node_id`` limp: add ``extra`` to every delay draw on
+        messages it sends or receives (slow NIC / overloaded host)."""
+        if not (math.isfinite(extra) and extra >= 0):
+            raise SimulationError(f"bad limp delay {extra}")
+        self._node_delays[node_id] = extra
+
+    def clear_node_delay(self, node_id: int) -> None:
+        """Restore normal link latency for ``node_id``."""
+        self._node_delays.pop(node_id, None)
+
+    def clear_node_delays(self) -> None:
+        """Restore normal link latency everywhere (chaos settle phase)."""
+        self._node_delays.clear()
+
     # -- internals --------------------------------------------------------------------
+
+    def _carry(self, src: int, dst: int, message: WireMessage) -> None:
+        delay = self._draw_delay()
+        if self._node_delays:
+            delay += (self._node_delays.get(src, 0.0)
+                      + self._node_delays.get(dst, 0.0))
+        self.runtime.schedule(delay, self._deliver, src, dst, message)
 
     def _draw_delay(self) -> float:
         if self.config.delay_fn is not None:
@@ -221,10 +265,3 @@ class Network:
                     f"delay_fn returned an invalid delay {delay}")
             return delay
         return self.rng.uniform(self.config.min_delay, self.config.max_delay)
-
-    def _deliver(self, src: int, dst: int, message: WireMessage) -> None:
-        node = self.nodes[dst]
-        if node.deliver(message, src):
-            self.metrics.delivered += 1
-        else:
-            self.metrics.dropped_down += 1

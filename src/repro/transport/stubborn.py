@@ -56,6 +56,7 @@ retransmitted stale heartbeats would defeat its timing semantics.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
 
@@ -185,15 +186,18 @@ class StubbornConfig:
             raise ValueError(f"window must be >= 1, got {window}")
         if max_backlog is not None and max_backlog < 1:
             raise ValueError(f"max_backlog must be >= 1, got {max_backlog}")
-        if base_interval <= 0 or max_interval < base_interval:
+        if not (math.isfinite(base_interval) and math.isfinite(max_interval)
+                and 0 < base_interval <= max_interval):
             raise ValueError(
                 f"bad backoff bounds [{base_interval}, {max_interval}]")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        if suspend_interval <= 0:
-            raise ValueError("suspend_interval must be positive")
-        if flush_delay < 0:
-            raise ValueError(f"negative flush_delay {flush_delay}")
+        if not (math.isfinite(suspend_interval) and suspend_interval > 0):
+            raise ValueError(
+                f"suspend_interval must be positive and finite, got "
+                f"{suspend_interval}")
+        if not (math.isfinite(flush_delay) and flush_delay >= 0):
+            raise ValueError(f"bad flush_delay {flush_delay}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.window = window

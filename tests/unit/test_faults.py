@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.faults import FaultEvent, FaultSchedule, RandomFaults
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.storage.memory import MemoryStorage
 
 

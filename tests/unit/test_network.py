@@ -7,8 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import Network, NetworkConfig
@@ -118,6 +117,23 @@ class TestLossDuplication:
     def test_bad_delay_bounds_rejected(self):
         with pytest.raises(SimulationError):
             NetworkConfig(min_delay=0.5, max_delay=0.1)
+        nan, inf = float("nan"), float("inf")
+        # An infinite bound breaks the paper's finite transfer delay.
+        for bounds in ({"min_delay": nan}, {"max_delay": nan},
+                       {"max_delay": inf}, {"min_delay": inf,
+                                            "max_delay": inf}):
+            with pytest.raises(SimulationError):
+                NetworkConfig(**bounds)
+
+    def test_bad_limp_delay_rejected(self, sim):
+        net, nodes, received = build(sim)
+        for extra in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                net.set_node_delay(1, extra)
+        net.set_node_delay(1, 0.5)
+        net.send(0, 1, Ping(1))
+        sim.run()
+        assert received[1][0][2] >= 0.51
 
     def test_custom_delay_fn(self, sim):
         config = NetworkConfig(delay_fn=lambda rng: 7.0)

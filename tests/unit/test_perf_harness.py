@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import json
 
-from repro.perf.harness import (compare_determinism,
-                                measure_storage_comparison, run_cell)
+from repro.harness.scenario import run_scenario
+from repro.perf.harness import compare_determinism, run_cell
 from repro.perf.matrix import (PerfCell, default_matrix, overload_cell,
-                               smallest_cell, storage_comparison_cell)
+                               smallest_cell)
 from repro.perf.trajectory import (baseline_determinism, build_document,
-                                   format_comparison_table,
                                    format_matrix_table,
                                    format_trajectory_table, load_documents,
                                    summarize_drift, write_document)
+from tests.unit.test_storage import DeepcopyStorage
 
 
 class TestMatrix:
@@ -30,11 +30,6 @@ class TestMatrix:
         cell = smallest_cell()
         assert (cell.protocol, cell.n, cell.loss_rate, cell.chaos) == \
             ("basic", 3, 0.0, False)
-
-    def test_comparison_cell_is_the_e6_batching_shape(self):
-        cell = storage_comparison_cell()
-        assert cell.protocol == "alternative"
-        assert cell.rate_per_node >= 20  # high offered load: batching
 
 
 class TestOverloadCell:
@@ -80,10 +75,21 @@ class TestDeterminism:
             {cell.name: first.determinism}, [second]) == []
 
     def test_isolation_mode_does_not_change_determinism(self):
+        # Snapshot isolation swaps copies, not behaviour: a run on the
+        # deepcopy reference storage is the same run.
         cell = smallest_cell()
-        snapshot = run_cell(cell, isolation="snapshot")
-        deepcopy = run_cell(cell, isolation="deepcopy")
-        assert snapshot.determinism == deepcopy.determinism
+        snapshot = run_cell(cell)
+        scenario = cell.scenario()
+        scenario.cluster.storage_factory = lambda node_id: DeepcopyStorage()
+        deepcopy = run_scenario(scenario)
+        metrics = deepcopy.metrics
+        assert snapshot.determinism == {
+            "events_processed": deepcopy.cluster.sim.events_processed,
+            "log_ops": metrics.total_log_ops(),
+            "bytes_logged": metrics.total_bytes_logged(),
+            "messages_broadcast": metrics.messages_broadcast,
+            "messages_delivered": metrics.messages_delivered,
+        }
 
     def test_compare_reports_drift_and_missing_cells(self):
         cell = smallest_cell()
@@ -124,17 +130,6 @@ class TestDocuments:
         document = build_document("PRX", [result])
         trajectory = format_trajectory_table([document], result.cell.name)
         assert "PRX" in trajectory
-
-
-class TestStorageComparison:
-    def test_before_after_agree_on_determinism(self):
-        comparison = measure_storage_comparison(repeats=1)
-        assert comparison["before"]["deliveries_per_sec"] > 0
-        assert comparison["after"]["deliveries_per_sec"] > 0
-        assert comparison["speedup_deliveries_per_sec"] > 0
-        assert comparison["determinism"]["messages_delivered"] > 0
-        table = format_comparison_table(comparison)
-        assert "before" in table and "after" in table
 
 
 class TestFrozenCells:

@@ -20,8 +20,7 @@ from repro.core.messages import AppMessage, GossipMessage
 from repro.harness.cluster import Cluster, ClusterConfig
 from repro.multigroup import MultiGroupCluster
 from repro.quorum.register import QuorumRegister
-from repro.sim.kernel import Simulator
-from repro.sim.process import Node
+from repro.runtime import Node, Simulator
 from repro.sizing import estimate_size
 from repro.storage.memory import MemoryStorage
 from repro.transport import message as message_module

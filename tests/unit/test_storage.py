@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.ids import MessageId
@@ -10,6 +12,7 @@ from repro.errors import StorageError
 from repro.storage import codec
 from repro.storage.file import FileStorage
 from repro.storage.memory import MemoryStorage
+from repro.storage.stable import StableStorage
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -238,12 +241,34 @@ class TestCodecNonFiniteFloats:
         assert math.copysign(1.0, got["t"][1]) == -1.0
 
 
+class DeepcopyStorage(StableStorage):
+    """Reference isolation: ``copy.deepcopy`` on every write and read.
+
+    MemoryStorage's snapshot isolation must be indistinguishable from
+    this; the tests here and in test_perf_harness compare against it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._data = {}
+
+    def _write(self, path, value):
+        self._data[path] = copy.deepcopy(value)
+
+    def _read(self, path, default):
+        if path not in self._data:
+            return default
+        return copy.deepcopy(self._data[path])
+
+    def _delete_raw(self, path):
+        self._data.pop(path, None)
+
+    def _keys(self):
+        return self._data.keys()
+
+
 class TestSnapshotIsolation:
     """The immutability-aware snapshot path of MemoryStorage."""
-
-    def test_unknown_isolation_mode_rejected(self):
-        with pytest.raises(StorageError):
-            MemoryStorage(isolation="telepathy")
 
     def test_immutable_values_are_shared_not_copied(self):
         storage = MemoryStorage()
@@ -291,8 +316,7 @@ class TestSnapshotIsolation:
         assert snapshot.fallback_count() > before
 
     def test_deepcopy_mode_matches_snapshot_semantics(self):
-        for isolation in ("snapshot", "deepcopy"):
-            storage = MemoryStorage(isolation=isolation)
+        for storage in (MemoryStorage(), DeepcopyStorage()):
             value = {"inner": [1, 2], "id": MessageId(0, 0, 1)}
             storage.log("k", value)
             value["inner"].append(3)

@@ -7,9 +7,7 @@ import random
 import pytest
 
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.runtime import Node, NodeComponent
-from repro.runtime import wire
-from repro.sim.kernel import Simulator
+from repro.runtime import Node, NodeComponent, Simulator, wire
 from repro.storage.memory import MemoryStorage
 from repro.transport.message import WireMessage
 from repro.transport.network import NetworkConfig
@@ -371,6 +369,13 @@ class TestCoalescing:
             StubbornConfig(flush_delay=-1.0)
         with pytest.raises(ValueError):
             StubbornConfig(max_batch=0)
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"base_interval": nan}, {"max_interval": inf},
+                    {"max_interval": nan}, {"suspend_interval": nan},
+                    {"suspend_interval": inf}, {"flush_delay": nan},
+                    {"flush_delay": inf}):
+            with pytest.raises(ValueError):
+                StubbornConfig(**bad)
 
 
 class TestOversizeBatch:
